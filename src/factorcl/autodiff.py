@@ -30,7 +30,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     """Unfold image patches into a ``(n*kh*kw, N*Ho*Wo)`` matrix.
 
     The inner patch ordering is row-major ``(channel, kh, kw)`` so the
-    rows line up with conv weights flattened by ``reshape_to_matrix``.
+    rows line up with a conv weight stored as its ``c x (n*kh*kw)`` matrix.
     """
     n_im, c_in, h, w = x.shape
     out_h = (h + 2 * padding - kh) // stride + 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .linalg import DTYPE, random_orthonormal
 
 
@@ -48,6 +48,16 @@ class LayerShape:
         return max(1, (self.c * self.q) // (self.c + self.q + 1))
 
 
+def _feature_dim(layers, input_hw, strides, paddings) -> int:
+    """Flattened size of the conv stack's output: the head's input width."""
+    h, w = input_hw
+    for shape, stride, pad in zip(layers, strides, paddings):
+        h, w = ad.conv_output_size(h, w, shape.h, shape.w, stride, pad)
+        if h < 1 or w < 1:
+            raise ValueError("feature map collapsed to zero size")
+    return layers[-1].c * h * w
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Static architecture: conv stack geometry plus the head input width."""
@@ -71,25 +81,12 @@ class NetworkSpec:
                 raise ValueError(
                     f"layer input channels {nxt.n} do not match previous output {prev.c}"
                 )
-        if self.head_input_dim != self._feature_dim():
+        features = _feature_dim(self.layers, self.input_hw, self.strides, self.paddings)
+        if self.head_input_dim != features:
             raise ValueError(
                 f"head_input_dim {self.head_input_dim} does not match "
-                f"flattened conv output {self._feature_dim()}"
+                f"flattened conv output {features}"
             )
-
-    def feature_map_sizes(self) -> list[tuple[int, int]]:
-        h, w = self.input_hw
-        sizes = []
-        for shape, stride, pad in zip(self.layers, self.strides, self.paddings):
-            h, w = ad.conv_output_size(h, w, shape.h, shape.w, stride, pad)
-            if h < 1 or w < 1:
-                raise ValueError("feature map collapsed to zero size")
-            sizes.append((h, w))
-        return sizes
-
-    def _feature_dim(self) -> int:
-        h, w = self.feature_map_sizes()[-1]
-        return self.layers[-1].c * h * w
 
     @property
     def num_layers(self) -> int:
@@ -124,18 +121,10 @@ class NetworkSpec:
             return (int(value),) * n
 
         strides, paddings = per_layer(stride), per_layer(padding)
-        probe = cls.__new__(cls)
-        object.__setattr__(probe, "layers", tuple(layers))
-        object.__setattr__(probe, "input_hw", tuple(input_hw))
-        object.__setattr__(probe, "strides", strides)
-        object.__setattr__(probe, "paddings", paddings)
-        object.__setattr__(probe, "dropout_rates", (dropout,) * n)
-        object.__setattr__(probe, "head_input_dim", 0)
-        head_dim = probe._feature_dim()
         return cls(
             layers=tuple(layers),
             input_hw=tuple(input_hw),
-            head_input_dim=head_dim,
+            head_input_dim=_feature_dim(layers, input_hw, strides, paddings),
             strides=strides,
             paddings=paddings,
             dropout_rates=(dropout,) * n,
@@ -209,6 +198,15 @@ class SharedSpace:
             return 0
         return self.rank_table[layer][t - 1]
 
+    def columns(self, layer: int, t: int) -> tuple[int, int]:
+        """Stored columns ``[lo, hi)`` that task t's weights use.
+
+        The prefix up to R_{layer,t}, or in isolated mode task t's own
+        segment.
+        """
+        lo = self.rank_upto(layer, t - 1) if self.isolated and t > 0 else 0
+        return lo, self.rank_upto(layer, t)
+
     def total_width(self, layer: int) -> int:
         return self.u[layer].shape[1]
 
@@ -263,10 +261,7 @@ def _dense_from_cols(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, lo: int, h
     uc = np.ascontiguousarray(u[:, lo:hi])
     sc = np.ascontiguousarray(sigma[lo:hi])
     vc = np.ascontiguousarray(v[:, lo:hi])
-    out = (uc * sc) @ vc.T
-    if lo == hi:
-        out = np.zeros((u.shape[0], v.shape[0]), dtype=u.dtype)
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray((uc * sc) @ vc.T)
 
 
 def _check_residual(spec: NetworkSpec, factors: TaskFactors) -> None:
@@ -294,8 +289,7 @@ def compose_dense(
     for l in range(n_layers):
         w = None
         if shared is not None and upto_t > 0:
-            lo = shared.rank_upto(l, upto_t - 1) if shared.isolated else 0
-            hi = shared.rank_upto(l, min(upto_t, shared.num_tasks))
+            lo, hi = shared.columns(l, min(upto_t, shared.num_tasks))
             w = _dense_from_cols(shared.u[l], shared.sigma[l], shared.v[l], lo, hi)
         if residual is not None:
             wr = (residual.u[l] * residual.sigma[l]) @ residual.v[l].T
@@ -336,8 +330,7 @@ def compose_weights(
     for l in range(n_layers):
         w_node = None
         if shared is not None and upto_t > 0:
-            lo = shared.rank_upto(l, upto_t - 1) if shared.isolated else 0
-            hi = shared.rank_upto(l, upto_t)
+            lo, hi = shared.columns(l, upto_t)
             if hi > lo:
                 fu = g.leaf(np.ascontiguousarray(shared.u[l][:, lo:hi]), name=f"shared_u{l}")
                 fs = g.leaf(np.ascontiguousarray(shared.sigma[l][lo:hi]), name=f"shared_sigma{l}")
@@ -405,8 +398,7 @@ def extract_subnetwork(shared: SharedSpace, t: int) -> tuple[list[np.ndarray], T
         raise ValueError(f"task {t} out of range 1..{shared.num_tasks}")
     weights = []
     for l in range(shared.spec.num_layers):
-        lo = shared.rank_upto(l, t - 1) if shared.isolated else 0
-        hi = shared.rank_upto(l, t)
+        lo, hi = shared.columns(l, t)
         weights.append(_dense_from_cols(shared.u[l], shared.sigma[l], shared.v[l], lo, hi))
     return weights, shared.heads[t - 1]
 
@@ -420,9 +412,13 @@ def append(shared: SharedSpace, pruned: TaskFactors, head: TaskHead) -> SharedSp
     """New SharedSpace with task columns concatenated after existing ones.
 
     Existing arrays are never mutated; earlier extraction results stay
-    bitwise identical.
+    bitwise identical.  Non-finite factors or head parameters are
+    rejected, since appended columns are frozen for good.
     """
     _check_residual(shared.spec, pruned)
+    arrays = [*pruned.u, *pruned.sigma, *pruned.v, head.weight, head.bias]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericError(f"task {pruned.task}: non-finite factors or head cannot be appended")
     for l in range(shared.spec.num_layers):
         s = pruned.sigma[l]
         if s.size and (np.any(s < 0) or np.any(np.diff(s) > 0)):

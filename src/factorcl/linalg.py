@@ -1,10 +1,9 @@
 """Dense 2-D linear algebra for factorized layers.
 
-Matrices are plain ``numpy`` arrays: 2-D, C-contiguous, float32.  Conv
-weights travel as 4-D float32 arrays of shape ``(c, n, h, w)`` and are
-flattened to ``c x (n*h*w)`` matrices with row-major inner ordering, so
-factor shapes line up with the per-layer bookkeeping elsewhere in the
-package.
+Matrices are plain ``numpy`` arrays: 2-D, C-contiguous, float32.  A conv
+weight is stored as its ``c x (n*h*w)`` matrix, with row-major
+``(n, h, w)`` inner ordering, so factor shapes line up with the
+per-layer bookkeeping elsewhere in the package.
 
 The SVD is a one-sided Jacobi iteration (accurate at the small sizes we
 care about), run in float64 internally and returned as float32.  A QR
@@ -44,50 +43,6 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     if rows is not None and m.shape != (rows, cols):
         raise ShapeError(f"expected shape ({rows}, {cols}), got {m.shape}")
     return m
-
-
-def as_tensor4(data, shape: tuple[int, int, int, int] | None = None) -> np.ndarray:
-    """Coerce ``data`` to a 4-D float32 C-order array ``(c, n, h, w)``."""
-    t = np.ascontiguousarray(np.asarray(data, dtype=DTYPE))
-    if t.ndim != 4:
-        raise ShapeError(f"expected a 4-D tensor, got ndim={t.ndim}")
-    if min(t.shape) < 1:
-        raise ShapeError(f"tensor dimensions must be positive, got {t.shape}")
-    if shape is not None and t.shape != tuple(shape):
-        raise ShapeError(f"expected shape {tuple(shape)}, got {t.shape}")
-    return t
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with a shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return np.matmul(a, b)
-
-
-def reshape_to_matrix(t: np.ndarray) -> np.ndarray:
-    """Flatten a conv weight ``(c, n, h, w)`` to a ``c x (n*h*w)`` matrix.
-
-    Element ``(i, j)`` of the result is the tensor element whose flat
-    inner index is ``j`` under row-major ``(n, h, w)`` ordering, so the
-    reshape is lossless and invertible.
-    """
-    t = as_tensor4(t)
-    c, n, h, w = t.shape
-    return np.ascontiguousarray(t.reshape(c, n * h * w))
-
-
-def reshape_to_tensor(m: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
-    """Inverse of :func:`reshape_to_matrix` for the given ``(c, n, h, w)``."""
-    m = as_matrix(m)
-    c, n, h, w = shape
-    if m.shape[0] != c or m.shape[1] != n * h * w:
-        raise ShapeError(
-            f"matrix {m.shape} does not reshape to tensor ({c}, {n}, {h}, {w})"
-        )
-    return np.ascontiguousarray(m.reshape(c, n, h, w))
 
 
 @dataclass(frozen=True)

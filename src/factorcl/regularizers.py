@@ -72,10 +72,6 @@ def l_sparse(factors: TaskFactors, guarded: bool = False) -> float:
     return total
 
 
-def total_loss(task_loss: float, orth: float, sparse: float, w: LossWeights) -> float:
-    return task_loss + w.lambda_orth * orth + w.lambda_sparse * sparse
-
-
 # -- graph builders ------------------------------------------------------------
 
 

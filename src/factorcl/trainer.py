@@ -5,11 +5,15 @@ space, sort and energy-prune the singular values, append.  The shared
 space is never touched after append, which is what makes backward
 transfer exactly zero.
 
-Gradient routing follows the per-group split of the training
-pseudo-code: U and V take the gradient of task loss + orthogonality
-term, sigma takes the gradient of task loss + sparsity term.  Both are
-descent steps; the split is realized as two backward passes over one
-shared tape.
+Each step takes one backward pass of one objective, task loss +
+lambda_orth * orthogonality + lambda_sparse * Hoyer sparsity, and one
+Adam step; factorized and dense training share that one minibatch loop.
+This is exactly the per-group split of the training pseudo-code (U and
+V descend task + orthogonality, sigma descends task + sparsity): the
+orthogonality term reads only the U and V leaves and the Hoyer term
+only the sigma leaves, so neither adds to the other group's gradient,
+and the pass sums each leaf's remaining contributions in the same
+reverse-tape order as a pass over that group's own loss would.
 """
 
 from __future__ import annotations
@@ -111,6 +115,50 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
+def _fit(
+    data: TaskDataset,
+    spec: fz.NetworkSpec,
+    cfg: TrainConfig,
+    task: int,
+    params: dict[str, np.ndarray],
+    build,
+) -> None:
+    """The minibatch loop behind both trainers; updates ``params`` in place.
+
+    ``build(g)`` puts one step's conv weights on the tape and returns
+    ``(weights, leaves, penalties)``: the weight nodes, the trainable leaf
+    of every key of ``params`` but the head, and ``penalties()``, which
+    returns the weighted regularizer nodes.  The loop calls ``penalties``
+    after building the task loss, so the regularizers follow it on the tape.
+    """
+    if cfg.dropout_rates is not None:
+        spec = replace(spec, dropout_rates=tuple(cfg.dropout_rates))
+    adam = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
+    use_dropout = any(r > 0 for r in spec.dropout_rates)
+    n = data.train_x.shape[0]
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(epoch, cfg)
+        order = _epoch_order(cfg, task, epoch, n)
+        for step, start in enumerate(range(0, n, cfg.batch_size)):
+            batch = order[start : start + cfg.batch_size]
+            x, y = data.train_x[batch], data.train_y[batch]
+            g = ad.Graph()
+            weights, leaves, penalties = build(g)
+            seed = _dropout_seed(cfg, task, epoch, start) if use_dropout else 0
+            feats = fz.graph_forward(g, weights, spec, g.leaf(x), train=True, dropout_seed=seed)
+            hw = leaves["head_w"] = g.leaf(params["head_w"], trainable=True, name="head_w")
+            hb = leaves["head_b"] = g.leaf(params["head_b"], trainable=True, name="head_b")
+            loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
+            for term in penalties():
+                loss = g.add(loss, term)
+            if not np.isfinite(float(g.value(loss))):
+                raise TrainingError(
+                    "non-finite training objective", task=task, epoch=epoch, step=step
+                )
+            grads = g.backward(loss)
+            adam.step(params, {key: grads[leaf] for key, leaf in leaves.items()}, lr)
+
+
 def train_task(
     data: TaskDataset,
     shared: fz.SharedSpace | None,
@@ -128,74 +176,47 @@ def train_task(
         spec = shared.spec
     if spec is None:
         raise ValueError("need a NetworkSpec when training without a shared space")
-    if cfg.dropout_rates is not None:
-        spec = replace(spec, dropout_rates=tuple(cfg.dropout_rates))
-    n_layers = spec.num_layers
-    task = fresh.task
+    layers = range(spec.num_layers)
     upto = shared.num_tasks if shared is not None else 0
 
     params: dict[str, np.ndarray] = {}
-    for l in range(n_layers):
+    for l in layers:
         params[f"u{l}"] = fresh.u[l].copy()
         params[f"sigma{l}"] = fresh.sigma[l].copy()
         params[f"v{l}"] = fresh.v[l].copy()
     params["head_w"] = head.weight.copy()
     params["head_b"] = head.bias.copy()
-    adam = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
 
-    use_dropout = any(r > 0 for r in spec.dropout_rates)
-    n = data.train_x.shape[0]
-    for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg)
-        order = _epoch_order(cfg, task, epoch, n)
-        for step, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = order[start : start + cfg.batch_size]
-            x, y = data.train_x[batch], data.train_y[batch]
+    def factors() -> fz.TaskFactors:
+        return fz.TaskFactors(
+            task=fresh.task,
+            u=[params[f"u{l}"] for l in layers],
+            sigma=[params[f"sigma{l}"] for l in layers],
+            v=[params[f"v{l}"] for l in layers],
+        )
 
-            g = ad.Graph()
-            residual = fz.TaskFactors(
-                task=task,
-                u=[params[f"u{l}"] for l in range(n_layers)],
-                sigma=[params[f"sigma{l}"] for l in range(n_layers)],
-                v=[params[f"v{l}"] for l in range(n_layers)],
-            )
-            composed = fz.compose_weights(g, shared, upto, residual)
-            seed = _dropout_seed(cfg, task, epoch, start) if use_dropout else 0
-            feats = fz.graph_forward(
-                g, composed.weights, spec, g.leaf(x), train=True, dropout_seed=seed
-            )
-            hw = g.leaf(params["head_w"], trainable=True, name="head_w")
-            hb = g.leaf(params["head_b"], trainable=True, name="head_b")
-            task_loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
-            if not np.isfinite(float(g.value(task_loss))):
-                raise TrainingError("non-finite task loss", task=task, epoch=epoch, step=step)
+    def build(g: ad.Graph):
+        composed = fz.compose_weights(g, shared, upto, factors())
+        leaves = {}
+        for l in layers:
+            leaves[f"u{l}"] = composed.u_leaves[l]
+            leaves[f"sigma{l}"] = composed.sigma_leaves[l]
+            leaves[f"v{l}"] = composed.v_leaves[l]
 
-            loss_uv = task_loss
+        def penalties() -> list[int]:
+            terms = []
             if cfg.lambda_orth > 0:
                 orth = reg.l_orth_graph(g, composed.u_leaves, composed.v_leaves)
-                loss_uv = g.add(task_loss, g.scale(orth, cfg.lambda_orth))
-            loss_sigma = task_loss
+                terms.append(g.scale(orth, cfg.lambda_orth))
             if cfg.lambda_sparse > 0:
                 sparse = reg.l_sparse_graph(g, composed.sigma_leaves)
-                loss_sigma = g.add(task_loss, g.scale(sparse, cfg.lambda_sparse))
+                terms.append(g.scale(sparse, cfg.lambda_sparse))
+            return terms
 
-            grads_uv = g.backward(loss_uv)
-            grads_sigma = grads_uv if loss_sigma is loss_uv else g.backward(loss_sigma)
-            grads = {"head_w": grads_uv[hw], "head_b": grads_uv[hb]}
-            for l in range(n_layers):
-                grads[f"u{l}"] = grads_uv[composed.u_leaves[l]]
-                grads[f"v{l}"] = grads_uv[composed.v_leaves[l]]
-                grads[f"sigma{l}"] = grads_sigma[composed.sigma_leaves[l]]
-            adam.step(params, grads, lr)
+        return composed.weights, leaves, penalties
 
-    trained = fz.TaskFactors(
-        task=task,
-        u=[params[f"u{l}"] for l in range(n_layers)],
-        sigma=[params[f"sigma{l}"] for l in range(n_layers)],
-        v=[params[f"v{l}"] for l in range(n_layers)],
-    )
-    trained_head = fz.TaskHead(weight=params["head_w"], bias=params["head_b"])
-    return trained, trained_head
+    _fit(data, spec, cfg, fresh.task, params, build)
+    return factors(), fz.TaskHead(weight=params["head_w"], bias=params["head_b"])
 
 
 # -- dense reference models -------------------------------------------------------
@@ -230,8 +251,6 @@ def train_dense_task(
     data: TaskDataset, spec: fz.NetworkSpec, cfg: TrainConfig, task: int
 ) -> tuple[list[np.ndarray], fz.TaskHead]:
     """Plain dense conv training, no factorization or regularizers."""
-    if cfg.dropout_rates is not None:
-        spec = replace(spec, dropout_rates=tuple(cfg.dropout_rates))
     states = np.random.SeedSequence([cfg.seed, task, 7919]).generate_state(spec.num_layers + 1)
     params: dict[str, np.ndarray] = {}
     for l, shape in enumerate(spec.layers):
@@ -244,49 +263,23 @@ def train_dense_task(
         head_rng.normal(size=(spec.head_input_dim, data.classes)) * head_scale
     ).astype(ad.DTYPE)
     params["head_b"] = np.zeros(data.classes, dtype=ad.DTYPE)
-    adam = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
+    layers = range(spec.num_layers)
 
-    use_dropout = any(r > 0 for r in spec.dropout_rates)
-    n = data.train_x.shape[0]
-    for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg)
-        order = _epoch_order(cfg, task, epoch, n)
-        for step, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = order[start : start + cfg.batch_size]
-            x, y = data.train_x[batch], data.train_y[batch]
-            g = ad.Graph()
-            weight_nodes = [
-                g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}")
-                for l in range(spec.num_layers)
-            ]
-            seed = _dropout_seed(cfg, task, epoch, start) if use_dropout else 0
-            feats = fz.graph_forward(g, weight_nodes, spec, g.leaf(x), train=True, dropout_seed=seed)
-            hw = g.leaf(params["head_w"], trainable=True, name="head_w")
-            hb = g.leaf(params["head_b"], trainable=True, name="head_b")
-            loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
-            if not np.isfinite(float(g.value(loss))):
-                raise TrainingError("non-finite task loss", task=task, epoch=epoch, step=step)
-            grads_nodes = g.backward(loss)
-            grads = {g.nodes[nid].name: grads_nodes[nid] for nid in grads_nodes}
-            adam.step(params, grads, lr)
+    def build(g: ad.Graph):
+        leaves = {f"w{l}": g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}") for l in layers}
+        return list(leaves.values()), leaves, lambda: []
 
-    weights = [params[f"w{l}"] for l in range(spec.num_layers)]
+    _fit(data, spec, cfg, task, params, build)
+    weights = [params[f"w{l}"] for l in layers]
     return weights, fz.TaskHead(weight=params["head_w"], bias=params["head_b"])
 
 
 # -- the continual loop --------------------------------------------------------------
 
 
-def _eval_task(model, i: int, data: TaskDataset) -> float:
-    return accuracy(model.predict_logits(i, data.test_x), data.test_y)
-
-
-class _SpaceEval:
-    def __init__(self, space: fz.SharedSpace):
-        self.space = space
-
-    def predict_logits(self, t, x):
-        return fz.predict_logits(self.space, t, x)
+def _accuracies(predict, stream: list[TaskDataset], t: int) -> list[float]:
+    """Test accuracy of tasks 1..t, task i scored on ``predict(i, x)``."""
+    return [accuracy(predict(i, d.test_x), d.test_y) for i, d in enumerate(stream[:t], 1)]
 
 
 def run_continual(
@@ -315,7 +308,7 @@ def run_continual(
             models.weights.append(weights)
             models.heads.append(head)
             wall.append(time.perf_counter() - begin)
-            acc_rows.append([_eval_task(models, i, stream[i - 1]) for i in range(1, t + 1)])
+            acc_rows.append(_accuracies(models.predict_logits, stream, t))
         report = compute_metrics(
             acc_rows, models.size_bytes(),
             rank_allocation=[], wall_clock=wall, config=asdict(cfg),
@@ -347,8 +340,7 @@ def run_continual(
                 )
         space = fz.append(space, pruned, trained_head)
         wall.append(time.perf_counter() - begin)
-        ev = _SpaceEval(space)
-        acc_rows.append([_eval_task(ev, i, stream[i - 1]) for i in range(1, t + 1)])
+        acc_rows.append(_accuracies(lambda i, x: fz.predict_logits(space, i, x), stream, t))
 
     rank_alloc = []
     for l in range(spec.num_layers):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from factorcl import factorized as fz
-from factorcl.errors import ShapeError
+from factorcl.errors import NumericError, ShapeError
 from factorcl.linalg import random_orthonormal
 
 
@@ -184,6 +184,17 @@ def test_append_rejects_unsorted_sigma():
     bad.sigma[0] = np.array([0.1, 0.9], dtype=np.float32)
     with pytest.raises(ValueError):
         fz.append(fz.empty_space(spec), bad, make_head(spec, 2, 5))
+
+
+@pytest.mark.parametrize("part", ["u", "sigma", "v", "weight", "bias"])
+def test_append_rejects_non_finite(part):
+    spec = small_spec()
+    pruned = make_pruned(spec, 1, seed=14, ranks=(2, 2))
+    head = make_head(spec, 2, 5)
+    array = getattr(head, part) if part in ("weight", "bias") else getattr(pruned, part)[1]
+    array.flat[0] = np.nan
+    with pytest.raises(NumericError):
+        fz.append(fz.empty_space(spec), pruned, head)
 
 
 def test_extract_range_checked():

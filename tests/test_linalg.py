@@ -4,75 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcl import linalg as la
-from factorcl.errors import NumericError, ShapeError
+from factorcl.errors import NumericError
 
 
 def random_matrix(rows, cols, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return (rng.normal(size=(rows, cols)) * scale).astype(np.float32)
-
-
-# -- matmul ----------------------------------------------------------------
-
-
-def test_matmul_identity():
-    a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-    out = la.matmul(np.eye(2, dtype=np.float32), a)
-    np.testing.assert_array_equal(out, a)
-
-
-def test_matmul_annihilator():
-    a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-    out = la.matmul(a, np.zeros((2, 2), dtype=np.float32))
-    np.testing.assert_array_equal(out, np.zeros((2, 2), dtype=np.float32))
-
-
-def test_matmul_hand_values():
-    a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-    b = np.array([[5], [6]], dtype=np.float32)
-    np.testing.assert_array_equal(la.matmul(a, b), [[17], [39]])
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        la.matmul(np.ones((2, 3), dtype=np.float32), np.ones((2, 2), dtype=np.float32))
-
-
-# -- reshapes ---------------------------------------------------------------
-
-
-def test_reshape_to_matrix_layout():
-    t = np.arange(1, 7, dtype=np.float32).reshape(2, 1, 1, 3)
-    m = la.reshape_to_matrix(t)
-    np.testing.assert_array_equal(m, [[1, 2, 3], [4, 5, 6]])
-
-
-def test_reshape_dimensions_conv_layer():
-    t = np.zeros((64, 64, 3, 3), dtype=np.float32)
-    assert la.reshape_to_matrix(t).shape == (64, 576)
-
-
-def test_reshape_scalar_tensor():
-    m = np.array([[5.0]], dtype=np.float32)
-    t = la.reshape_to_tensor(m, (1, 1, 1, 1))
-    assert t.shape == (1, 1, 1, 1) and t[0, 0, 0, 0] == 5.0
-
-
-def test_reshape_to_tensor_shape_mismatch():
-    with pytest.raises(ShapeError):
-        la.reshape_to_tensor(np.ones((2, 3), dtype=np.float32), (2, 2, 1, 1))
-
-
-@given(
-    c=st.integers(1, 4), n=st.integers(1, 4), h=st.integers(1, 3),
-    w=st.integers(1, 3), seed=st.integers(0, 2**16),
-)
-@settings(max_examples=40, deadline=None)
-def test_reshape_round_trip(c, n, h, w, seed):
-    rng = np.random.default_rng(seed)
-    t = rng.normal(size=(c, n, h, w)).astype(np.float32)
-    back = la.reshape_to_tensor(la.reshape_to_matrix(t), (c, n, h, w))
-    np.testing.assert_array_equal(back, t)
 
 
 # -- svd ---------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_l_sparse_concentration_decreases_ratio():
     assert reg.l_sparse(after) < reg.l_sparse(before)
 
 
-# -- total loss and weights -----------------------------------------------------
+# -- loss weights -----------------------------------------------------
 
 
 def test_loss_weights_validation():
@@ -119,16 +119,6 @@ def test_loss_weights_validation():
         reg.LossWeights(lambda_orth=-0.1, lambda_sparse=0.0)
     with pytest.raises(ValueError):
         reg.LossWeights(lambda_orth=float("nan"), lambda_sparse=0.0)
-
-
-def test_total_loss_zero_weights():
-    w = reg.LossWeights(0.0, 0.0)
-    assert reg.total_loss(2.5, 100.0, 100.0, w) == 2.5
-
-
-def test_total_loss_arithmetic():
-    w = reg.LossWeights(1.0, 0.0)
-    assert abs(reg.total_loss(1.0, 0.5, 9.0, w) - 1.5) < 1e-12
 
 
 # -- graph builders ----------------------------------------------------------------

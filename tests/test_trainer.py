@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from factorcl import autodiff as ad
 from factorcl import factorized as fz
 from factorcl import trainer as tr
 from factorcl.datasets import TaskStreamSpec, generate_stream
-from factorcl.errors import ConfigError
+from factorcl.errors import ConfigError, TrainingError
 
 SPEC = fz.NetworkSpec.build((3, 3), in_channels=2, input_hw=(3, 3))
 
@@ -21,6 +22,20 @@ def tiny_cfg(**kw):
     base = dict(epochs=2, batch_size=8, lr_drop_epochs=(1,), seed=0, energy_e=1e-2)
     base.update(kw)
     return tr.TrainConfig(**base)
+
+
+@pytest.fixture
+def backward_calls(monkeypatch):
+    """Every ``Graph.backward`` call as (graph, loss node), in call order."""
+    calls = []
+    original = ad.Graph.backward
+
+    def recording(g, loss):
+        calls.append((g, loss))
+        return original(g, loss)
+
+    monkeypatch.setattr(ad.Graph, "backward", recording)
+    return calls
 
 
 # -- schedule and optimizer ---------------------------------------------------------
@@ -123,6 +138,61 @@ def test_train_task_without_spec_or_shared_rejected():
     fresh, head = fz.expand(SPEC, 1, seed=0, classes=2)
     with pytest.raises(ValueError):
         tr.train_task(data, None, fresh, head, tiny_cfg())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_objective_stops_training():
+    # the orthogonality term overflows while the composed weights, and so
+    # the task loss, stay finite
+    data = tiny_stream(tasks=1)[0]
+    fresh, head = fz.expand(SPEC, 1, seed=0, classes=data.classes)
+    fresh.u[0] *= np.float32(1e20)
+    fresh.sigma[0] *= np.float32(1e-20)
+    cfg = tiny_cfg(epochs=1, lr_drop_epochs=(), batch_size=data.train_x.shape[0])
+    with pytest.raises(TrainingError):
+        tr.train_task(data, None, fresh, head, cfg, spec=SPEC)
+
+
+def test_each_trainer_runs_one_backward_pass_per_minibatch(backward_calls):
+    data = tiny_stream(tasks=1)[0]
+    cfg = tiny_cfg()
+    steps = cfg.epochs * -(-data.train_x.shape[0] // cfg.batch_size)
+    fresh, head = fz.expand(SPEC, 1, seed=0, classes=data.classes)
+    tr.train_task(data, None, fresh, head, cfg, spec=SPEC)
+    assert len(backward_calls) == steps
+    backward_calls.clear()
+    tr.train_dense_task(data, SPEC, cfg, task=1)
+    assert len(backward_calls) == steps
+
+
+def test_one_backward_gives_each_group_its_own_objective_gradient(backward_calls):
+    """U and V get the gradient of task + orth, sigma that of task + sparse, bitwise."""
+    stream = tiny_stream(tasks=2)
+    cfg = tiny_cfg(epochs=1, lr_drop_epochs=())
+    space, _ = tr.run_continual(stream[:1], SPEC, cfg)
+    fresh, head = fz.expand(SPEC, 2, cfg.seed, classes=stream[1].classes)
+    backward_calls.clear()
+    tr.train_task(stream[1], space, fresh, head, cfg)
+    g, objective = backward_calls[0]
+    assert "shared_u0" in {node.name for node in g.nodes}
+
+    # objective = (task + lambda_o * orth) + lambda_s * sparse
+    task_orth, sparse_term = g.nodes[objective].inputs
+    task = g.nodes[task_orth].inputs[0]
+    task_sparse = g.add(task, sparse_term)
+    merged = g.backward(objective)
+    uv, sig = g.backward(task_orth), g.backward(task_sparse)
+    names = {nid: g.nodes[nid].name for nid in merged}
+    layers = range(SPEC.num_layers)
+    assert set(names.values()) == {
+        f"{k}{l}" for k in ("u", "sigma", "v") for l in layers
+    } | {"head_w", "head_b"}
+    for nid, name in names.items():
+        own = sig if name.startswith("sigma") else uv
+        other = uv if own is sig else sig
+        assert merged[nid].tobytes() == own[nid].tobytes(), name
+        if not name.startswith("head"):
+            assert not np.array_equal(merged[nid], other[nid]), name
 
 
 # -- run_continual --------------------------------------------------------------------
