@@ -5,6 +5,11 @@ op kind, the ids of its input nodes and the cached forward value.  Leaf
 nodes carry parameter arrays and a ``trainable`` flag; frozen leaves
 participate in the forward pass but are never handed a gradient.
 
+Every node records whether it needs a gradient: a trainable leaf does,
+and so does any node with an input that does.  ``backward`` visits only
+those nodes, so a frozen subgraph (the composed shared prefix, the data
+batch) is not visited at all and never receives a contribution.
+
 Forward computation is factored into pure per-op functions so the tape
 can be replayed at a different precision with substituted leaf values.
 That is what :func:`grad_check` uses: analytic float32 gradients are
@@ -36,7 +41,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        padded = np.zeros((n_im, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     cols = np.empty((n_im, c_in, kh, kw, out_h, out_w), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
@@ -154,17 +161,20 @@ def _f_softmax_ce(v, aux):
     return (lse - z[np.arange(logits.shape[0]), labels]).mean()
 
 
-def _f_conv2d(v, aux):
-    w, x = v
+def _conv2d(w, x, aux):
+    """The one conv forward formula: the output and the im2col columns it used."""
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     n_im = x.shape[0]
     out_h, out_w = conv_output_size(x.shape[2], x.shape[3], kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
     out = w @ cols
-    return np.ascontiguousarray(
-        out.reshape(w.shape[0], n_im, out_h, out_w).transpose(1, 0, 2, 3)
-    )
+    out = np.ascontiguousarray(out.reshape(w.shape[0], n_im, out_h, out_w).transpose(1, 0, 2, 3))
+    return out, cols
+
+
+def _f_conv2d(v, aux):
+    return _conv2d(v[0], v[1], aux)[0]
 
 
 def _f_dropout(v, aux):
@@ -194,6 +204,7 @@ _FORWARD = {
 
 
 # --- per-op vector-Jacobian products: grad list, one entry per input ---
+# An entry may be None for an input that needs no gradient; backward skips it.
 
 
 def _b_matmul(g, v, out, aux):
@@ -254,12 +265,14 @@ def _b_softmax_ce(g, v, out, aux):
 
 
 def _b_conv2d(g, v, out, aux):
+    # the forward columns come from Graph.conv2d; only backward reads them
     w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     g_mat = g.transpose(1, 0, 2, 3).reshape(w.shape[0], -1)
-    cols = im2col(x, kh, kw, stride, padding)
-    gw = g_mat @ cols.T
+    gw = g_mat @ aux["cols"].T
+    if not aux["x_needs_grad"]:
+        return [gw, None]
     gx = col2im(w.T @ g_mat, x.shape, kh, kw, stride, padding)
     return [gw, gx]
 
@@ -298,6 +311,7 @@ class Node:
     aux: dict = field(default_factory=dict)
     trainable: bool = False
     name: str | None = None
+    needs_grad: bool = False
 
 
 class Graph:
@@ -314,7 +328,11 @@ class Graph:
         aux = aux or {}
         values = [self.nodes[i].value for i in inputs]
         value = _FORWARD[op](values, aux)
-        return self._append(Node(op=op, inputs=inputs, value=value, aux=aux))
+        return self._append(Node(op=op, inputs=inputs, value=value, aux=aux,
+                                 needs_grad=self._any_needs_grad(inputs)))
+
+    def _any_needs_grad(self, inputs: tuple[int, ...]) -> bool:
+        return any(self.nodes[i].needs_grad for i in inputs)
 
     def value(self, nid: int) -> np.ndarray:
         return self.nodes[nid].value
@@ -326,7 +344,8 @@ class Graph:
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         return self._append(
-            Node(op="leaf", inputs=(), value=arr, trainable=trainable, name=name)
+            Node(op="leaf", inputs=(), value=arr, trainable=trainable, name=name,
+                 needs_grad=trainable)
         )
 
     def constant(self, value, name: str | None = None) -> int:
@@ -341,11 +360,12 @@ class Graph:
         return self._apply("matmul", (a, b))
 
     def add(self, a: int, b: int) -> int:
-        va, vb = self.nodes[a].value, self.nodes[b].value
-        try:
-            np.broadcast_shapes(va.shape, vb.shape)
-        except ValueError as exc:
-            raise ShapeError(f"add: shapes {va.shape} and {vb.shape}") from exc
+        sa, sb = self.nodes[a].value.shape, self.nodes[b].value.shape
+        if sa != sb:
+            try:
+                np.broadcast_shapes(sa, sb)
+            except ValueError as exc:
+                raise ShapeError(f"add: shapes {sa} and {sb}") from exc
         return self._apply("add", (a, b))
 
     def scale(self, a: int, alpha: float) -> int:
@@ -414,7 +434,11 @@ class Graph:
         if out_h < 1 or out_w < 1:
             raise ShapeError(f"conv2d: input {vx.shape[2:]} too small for kernel {kernel}")
         aux = {"kernel": (c_in, kh, kw), "stride": int(stride), "padding": int(padding)}
-        return self._apply("conv2d", (weight, x), aux)
+        value, cols = _conv2d(vw, vx, aux)
+        aux["cols"] = cols
+        aux["x_needs_grad"] = self.nodes[x].needs_grad
+        return self._append(Node(op="conv2d", inputs=(weight, x), value=value, aux=aux,
+                                 needs_grad=self._any_needs_grad((weight, x))))
 
     def dropout(self, a: int, rate: float, seed: int, train: bool) -> int:
         if not 0.0 <= rate < 1.0:
@@ -436,14 +460,19 @@ class Graph:
         return sorted(reach)
 
     def backward(self, loss: int) -> dict[int, np.ndarray]:
-        """Gradients of the scalar ``loss`` node for all reachable trainable leaves."""
+        """Gradients of the scalar ``loss`` node for all reachable trainable leaves.
+
+        Only nodes that need a gradient enter ``grads``, and every entry is
+        an ancestor of ``loss``, so a node absent from it is skipped.
+        """
         loss_node = self.nodes[loss]
         if loss_node.value.ndim != 0:
             raise ValueError("backward requires a scalar loss node")
-        reach = set(self._ancestors(loss))
-        grads: dict[int, np.ndarray] = {loss: np.ones((), dtype=loss_node.value.dtype)}
+        grads: dict[int, np.ndarray] = {}
+        if loss_node.needs_grad:
+            grads[loss] = np.ones((), dtype=loss_node.value.dtype)
         for nid in range(loss, -1, -1):
-            if nid not in grads or nid not in reach:
+            if nid not in grads:
                 continue
             node = self.nodes[nid]
             if node.op == "leaf":
@@ -451,15 +480,13 @@ class Graph:
             values = [self.nodes[i].value for i in node.inputs]
             contribs = _BACKWARD[node.op](grads[nid], values, node.value, node.aux)
             for inp, contrib in zip(node.inputs, contribs):
+                if not self.nodes[inp].needs_grad:
+                    continue
                 if inp in grads:
                     grads[inp] = grads[inp] + contrib
                 else:
                     grads[inp] = contrib
-        return {
-            nid: grads[nid]
-            for nid in grads
-            if self.nodes[nid].op == "leaf" and self.nodes[nid].trainable
-        }
+        return {nid: grad for nid, grad in grads.items() if self.nodes[nid].op == "leaf"}
 
     def replay(
         self,

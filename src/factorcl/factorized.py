@@ -311,36 +311,54 @@ class ComposedWeights:
     v_leaves: list[int]
 
 
+def frozen_prefix(shared: SharedSpace, upto_t: int) -> list[np.ndarray | None]:
+    """Per-layer dense frozen prefix of task ``upto_t``; None for a layer with no columns.
+
+    The arithmetic is the one the training graph used when it rebuilt the
+    prefix every step from U, sigma and V leaves, ``(U diag(sigma)) V^T``
+    on contiguous column slices, so a prefix composed once per task gives
+    bitwise the same weights.  It may differ from ``_dense_from_cols``'
+    ``(U * sigma) V^T`` in the last bits.
+    """
+    out = []
+    for l in range(shared.spec.num_layers):
+        lo, hi = shared.columns(l, upto_t)
+        if hi <= lo:
+            out.append(None)
+            continue
+        u = np.ascontiguousarray(shared.u[l][:, lo:hi])
+        s = np.ascontiguousarray(shared.sigma[l][lo:hi])
+        v = np.ascontiguousarray(shared.v[l][:, lo:hi])
+        out.append((u @ np.diag(s)) @ np.ascontiguousarray(v.T))
+    return out
+
+
 def compose_weights(
     g: ad.Graph,
-    shared: SharedSpace | None,
-    upto_t: int,
+    prefix: list[np.ndarray | None],
     residual: TaskFactors,
 ) -> ComposedWeights:
     """Build the per-layer additive weight graph.
 
-    The shared prefix enters as frozen leaves (no gradient ever reaches
-    it); the residual triple enters as trainable leaves.  With an empty
-    or absent shared space the weight is the residual term alone.
+    Each layer's frozen prefix (from :func:`frozen_prefix`, composed once
+    per task) enters as one frozen leaf, which backward never visits; the
+    residual triple enters as trainable leaves.  A layer whose prefix is
+    None gets the residual term alone.
     """
-    if shared is not None:
-        _check_residual(shared.spec, residual)
     weights, u_ids, s_ids, v_ids = [], [], [], []
-    n_layers = len(residual.u)
-    for l in range(n_layers):
-        w_node = None
-        if shared is not None and upto_t > 0:
-            lo, hi = shared.columns(l, upto_t)
-            if hi > lo:
-                fu = g.leaf(np.ascontiguousarray(shared.u[l][:, lo:hi]), name=f"shared_u{l}")
-                fs = g.leaf(np.ascontiguousarray(shared.sigma[l][lo:hi]), name=f"shared_sigma{l}")
-                fv = g.leaf(np.ascontiguousarray(shared.v[l][:, lo:hi]), name=f"shared_v{l}")
-                w_node = g.matmul(g.matmul(fu, g.diag_embed(fs)), g.transpose(fv))
+    for l, w_prefix in enumerate(prefix):
         u = g.leaf(residual.u[l], trainable=True, name=f"u{l}")
         s = g.leaf(residual.sigma[l], trainable=True, name=f"sigma{l}")
         v = g.leaf(residual.v[l], trainable=True, name=f"v{l}")
         w_res = g.matmul(g.matmul(u, g.diag_embed(s)), g.transpose(v))
-        weights.append(w_res if w_node is None else g.add(w_node, w_res))
+        if w_prefix is not None:
+            if w_prefix.shape != g.value(w_res).shape:
+                raise ShapeError(
+                    f"layer {l}: residual weight {g.value(w_res).shape} does not fit "
+                    f"the frozen prefix {w_prefix.shape}"
+                )
+            w_res = g.add(g.leaf(w_prefix, name=f"prefix{l}"), w_res)
+        weights.append(w_res)
         u_ids.append(u)
         s_ids.append(s)
         v_ids.append(v)

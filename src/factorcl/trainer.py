@@ -177,7 +177,10 @@ def train_task(
     if spec is None:
         raise ValueError("need a NetworkSpec when training without a shared space")
     layers = range(spec.num_layers)
-    upto = shared.num_tasks if shared is not None else 0
+    if shared is not None:
+        prefix = fz.frozen_prefix(shared, shared.num_tasks)
+    else:
+        prefix = [None] * spec.num_layers
 
     params: dict[str, np.ndarray] = {}
     for l in layers:
@@ -196,7 +199,7 @@ def train_task(
         )
 
     def build(g: ad.Graph):
-        composed = fz.compose_weights(g, shared, upto, factors())
+        composed = fz.compose_weights(g, prefix, factors())
         leaves = {}
         for l in layers:
             leaves[f"u{l}"] = composed.u_leaves[l]
@@ -317,6 +320,7 @@ def run_continual(
 
     space = fz.empty_space(spec, isolated=(cfg.mode == "st"))
     caps = [s.expansion_rank() for s in spec.layers] if cfg.mode == "fixed" else None
+    crossed: dict[int, int] = {}  # layer -> first task whose append passed parity width
     for t, data in enumerate(stream, 1):
         begin = time.perf_counter()
         fresh, head = fz.expand(spec, t, cfg.seed, data.classes)
@@ -330,18 +334,23 @@ def run_continual(
         if caps is not None:
             remaining = [caps[l] - space.total_width(l) for l in range(spec.num_layers)]
             pruned = cp.cap_ranks(pruned, remaining)
-        for l, shape in enumerate(spec.layers):
-            width = space.total_width(l) + pruned.ranks()[l]
-            if width > shape.expansion_rank():
-                log.warning(
-                    "layer %d cumulative rank %d exceeds factorized-parity width %d; "
-                    "stored factors now cost more than a dense layer",
-                    l, width, shape.expansion_rank(),
-                )
         space = fz.append(space, pruned, trained_head)
+        for l, shape in enumerate(spec.layers):
+            if l not in crossed and space.total_width(l) > shape.expansion_rank():
+                crossed[l] = t
         wall.append(time.perf_counter() - begin)
         acc_rows.append(_accuracies(lambda i, x: fz.predict_logits(space, i, x), stream, t))
 
+    if crossed:
+        log.warning(
+            "stored factors cost more than a dense layer in %d layer(s): %s",
+            len(crossed),
+            "; ".join(
+                f"layer {l} width {space.total_width(l)} > parity width "
+                f"{spec.layers[l].expansion_rank()} since task {t}"
+                for l, t in sorted(crossed.items())
+            ),
+        )
     rank_alloc = []
     for l in range(spec.num_layers):
         row, prev = [], 0

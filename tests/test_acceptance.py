@@ -263,7 +263,7 @@ def _composed_graph(rng):
             size=residual.v[l].shape
         ).astype(np.float32)
     g = ad.Graph()
-    composed = fz.compose_weights(g, shared, 1, residual)
+    composed = fz.compose_weights(g, fz.frozen_prefix(shared, 1), residual)
     x = g.leaf((rng.normal(size=(2, 2, 2, 2)) * 0.5).astype(np.float32))
     feats = fz.graph_forward(g, composed.weights, spec, x)
     hw = g.leaf(head.weight, trainable=True, name="head_w")

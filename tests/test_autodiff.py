@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcl import autodiff as ad
+from factorcl import factorized as fz
+from factorcl import trainer as tr
+from factorcl.datasets import TaskStreamSpec, generate_stream
 from factorcl.errors import DataError, ShapeError
 
 
@@ -75,6 +78,8 @@ def test_shape_errors():
         g.diag_embed(a)
     with pytest.raises(ShapeError):
         g.conv2d(a, g.leaf(np.ones((1, 3, 5, 5), dtype=np.float32)), kernel=(3, 3, 3))
+    with pytest.raises(ShapeError):
+        g.add(a, g.leaf(np.ones((3, 2), dtype=np.float32)))
 
 
 def test_label_out_of_range():
@@ -124,6 +129,81 @@ def test_gradient_set_covers_exactly_reachable_trainables():
     grads = g.backward(loss)
     assert set(grads) == {used}
     assert unused not in grads
+
+
+def test_frozen_subgraph_gets_no_gradient_work():
+    g = ad.Graph()
+    frozen = g.leaf(rng_array((2, 2), seed=3))
+    frozen_sum = g.add(frozen, frozen)
+    w = g.leaf(rng_array((2, 2), seed=4), trainable=True)
+    loss = g.frobenius_norm(g.matmul(frozen_sum, w))
+    assert not g.nodes[frozen_sum].needs_grad and g.nodes[loss].needs_grad
+    assert set(g.backward(loss)) == {w}
+    # a loss with no trainable ancestor has nothing to differentiate
+    assert g.backward(g.frobenius_norm(frozen_sum)) == {}
+
+
+def test_conv2d_on_frozen_input_skips_col2im(monkeypatch):
+    calls = []
+    original = ad.col2im
+    monkeypatch.setattr(ad, "col2im", lambda *args: calls.append(args) or original(*args))
+    weight_grads, col2im_calls = [], []
+    for x_trainable in (False, True):
+        g = ad.Graph()
+        x = g.leaf(rng_array((2, 3, 6, 6), seed=22, scale=0.5), trainable=x_trainable)
+        w = g.leaf(rng_array((4, 3 * 3 * 3), seed=23, scale=0.3), trainable=True)
+        out = g.conv2d(w, x, kernel=(3, 3, 3), stride=2, padding=1)
+        weight_grads.append(g.backward(g.frobenius_norm(g.reshape(out, (2, 4 * 3 * 3))))[w])
+        col2im_calls.append(len(calls))
+    assert col2im_calls == [0, 1]
+    assert weight_grads[0].tobytes() == weight_grads[1].tobytes()
+
+
+def test_full_mode_step_unfolds_each_layer_once(monkeypatch):
+    spec = fz.NetworkSpec.build((3, 3), in_channels=2, input_hw=(4, 4))
+    data = generate_stream(TaskStreamSpec(
+        kind="synthetic_blobs", tasks=1, classes_per_task=2, samples_per_class=4,
+        input_shape=(2, 4, 4), seed=0,
+    ))[0]
+    cfg = tr.TrainConfig(epochs=1, batch_size=data.train_x.shape[0], lr_drop_epochs=())
+    space, _ = tr.run_continual([data], spec, cfg)
+    fresh, head = fz.expand(spec, 2, seed=0, classes=data.classes)
+    calls = {"im2col": 0, "col2im": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(ad, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ad, name, counting)
+    tr.train_task(data, space, fresh, head, cfg)  # one step against a non-empty prefix
+    # the data batch needs no gradient, so only layers above the first scatter back
+    assert calls == {"im2col": spec.num_layers, "col2im": spec.num_layers - 1}
+
+
+def test_frozen_prefix_matches_the_three_leaf_graph():
+    rng = np.random.default_rng(7)
+    spec = fz.NetworkSpec.build((3, 4), in_channels=2, input_hw=(5, 5))
+    space = fz.empty_space(spec)
+    for t, ranks in enumerate(((2, 3), (1, 2)), 1):
+        factors = fz.TaskFactors(
+            task=t,
+            u=[rng.normal(size=(s.c, r)).astype(np.float32) for s, r in zip(spec.layers, ranks)],
+            sigma=[np.sort(rng.random(r).astype(np.float32))[::-1].copy() for r in ranks],
+            v=[rng.normal(size=(s.q, r)).astype(np.float32) for s, r in zip(spec.layers, ranks)],
+        )
+        head = fz.TaskHead(np.zeros((spec.head_input_dim, 2), np.float32), np.zeros(2, np.float32))
+        space = fz.append(space, factors, head)
+    assert fz.frozen_prefix(space, 0) == [None, None]
+    for upto in (1, 2):
+        g = ad.Graph()
+        for l, prefix in enumerate(fz.frozen_prefix(space, upto)):
+            lo, hi = space.columns(l, upto)
+            u = g.leaf(np.ascontiguousarray(space.u[l][:, lo:hi]))
+            s = g.leaf(np.ascontiguousarray(space.sigma[l][lo:hi]))
+            v = g.leaf(np.ascontiguousarray(space.v[l][:, lo:hi]))
+            graph_prefix = g.value(g.matmul(g.matmul(u, g.diag_embed(s)), g.transpose(v)))
+            assert prefix.dtype == graph_prefix.dtype and prefix.shape == graph_prefix.shape
+            assert prefix.tobytes() == graph_prefix.tobytes()
 
 
 def test_determinism_bitwise():

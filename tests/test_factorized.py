@@ -154,7 +154,7 @@ def test_compose_weights_graph_matches_dense_and_freezes_shared():
     space = fz.append(fz.empty_space(spec), pruned, make_head(spec, 2, 2))
     res = make_pruned(spec, task=2, seed=11, ranks=(3, 2))
     g = ad.Graph()
-    composed = fz.compose_weights(g, space, upto_t=1, residual=res)
+    composed = fz.compose_weights(g, fz.frozen_prefix(space, upto_t=1), residual=res)
     dense = fz.compose_dense(space, upto_t=1, residual=res)
     for node, w in zip(composed.weights, dense):
         np.testing.assert_allclose(g.value(node), w, atol=1e-6)

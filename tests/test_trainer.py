@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ def test_one_backward_gives_each_group_its_own_objective_gradient(backward_calls
     backward_calls.clear()
     tr.train_task(stream[1], space, fresh, head, cfg)
     g, objective = backward_calls[0]
-    assert "shared_u0" in {node.name for node in g.nodes}
+    assert "prefix0" in {node.name for node in g.nodes}
 
     # objective = (task + lambda_o * orth) + lambda_s * sparse
     task_orth, sparse_term = g.nodes[objective].inputs
@@ -264,6 +266,26 @@ def test_fixed_mode_caps_total_width():
     # appended ranks per layer sum to the final cumulative rank
     for l in range(SPEC.num_layers):
         assert sum(report.rank_allocation[l]) == space.rank_table[l][-1]
+
+
+def test_parity_warning_fires_once_per_run(caplog):
+    stream = tiny_stream(tasks=3)
+    with caplog.at_level(logging.WARNING, logger="factorcl.trainer"):
+        space, _ = tr.run_continual(stream, SPEC, tiny_cfg())
+    # every task appends at least one column against a parity width of 2,
+    # so both layers cross, at least one of them before the last task
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    for l, shape in enumerate(SPEC.layers):
+        parity = shape.expansion_rank()
+        first = 1 + next(i for i, r in enumerate(space.rank_table[l]) if r > parity)
+        assert f"layer {l} width {space.total_width(l)} > parity width {parity} " \
+            f"since task {first}" in message
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factorcl.trainer"):
+        tr.run_continual(stream, SPEC, tiny_cfg(mode="fixed"))
+    assert caplog.records == []
 
 
 def test_raw_sink_collects_unpruned_factors():
