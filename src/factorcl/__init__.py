@@ -33,7 +33,7 @@ from .factorized import (
     TaskFactors,
     TaskHead,
     append,
-    compose_dense,
+    dense_weight,
     empty_space,
     expand,
     extract_subnetwork,
@@ -68,9 +68,9 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "append",
-    "compose_dense",
     "compress",
     "compute_metrics",
+    "dense_weight",
     "empty_space",
     "energy_prune",
     "expand",

@@ -13,8 +13,8 @@ Shared spaces use a versioned little-endian binary layout (magic
              order) | bias
 
 A file is parsed completely before any model object is constructed, so
-a corrupt or truncated file raises FormatError (with the failing byte
-offset) and never yields partial state.
+a corrupt or truncated file, or one holding a non-finite real, raises
+FormatError (with the failing byte offset) and never yields partial state.
 
 Task checkpoints, dense reference models, and datasets are plain npz
 archives; their consumers do not need bit-level guarantees beyond what
@@ -150,6 +150,7 @@ def space_from_bytes(data: bytes) -> SharedSpace:
             raise FormatError(f"layer {l} rank table not non-decreasing", offset=at)
         rank_table.append(row)
 
+    payload_at = r.pos
     u, sigma, v = [], [], []
     for l, shape in enumerate(layers):
         width = rank_table[l][-1] if t else 0
@@ -174,6 +175,14 @@ def space_from_bytes(data: bytes) -> SharedSpace:
         heads.append(TaskHead(weight=weight, bias=bias))
     if r.pos != len(data):
         raise FormatError("trailing bytes after model payload", offset=r.pos)
+    # One pass over every word from the first factor to the end.  Besides
+    # f32 values this covers each head's blob length and class count, u32
+    # words that stay finite read as f32: a word is non-finite only at or
+    # above 0x7F800000, and a head that long would need a file of gigabytes.
+    finite = np.isfinite(np.frombuffer(data, dtype="<f4", offset=payload_at))
+    if not finite.all():
+        bad = payload_at + 4 * int(np.argmin(finite))
+        raise FormatError("non-finite value in model payload", offset=bad)
 
     try:
         spec = NetworkSpec(

@@ -149,8 +149,8 @@ def cmd_compress(args) -> int:
     cfg = cp.PruneConfig(energy_e=args.energy)
     pruned = cp.compress(factors, cfg)
     for l in range(spec.num_layers):
-        w_full = (factors.u[l] * factors.sigma[l]) @ factors.v[l].T
-        w_kept = (pruned.u[l] * pruned.sigma[l]) @ pruned.v[l].T
+        w_full = fz.dense_weight(factors.u[l], factors.sigma[l], factors.v[l])
+        w_kept = fz.dense_weight(pruned.u[l], pruned.sigma[l], pruned.v[l])
         denom = np.linalg.norm(w_full)
         err = float(np.linalg.norm(w_full - w_kept) / denom) if denom > 0 else 0.0
         print(

@@ -83,15 +83,19 @@ def retained_rank(sigma: np.ndarray, cfg: PruneConfig) -> int:
     return max(k, floor)
 
 
-def energy_prune(sorted_f: TaskFactors, cfg: PruneConfig) -> TaskFactors:
-    """Keep the leading retained_rank columns per layer."""
+def _truncate(f: TaskFactors, ranks) -> TaskFactors:
+    """Keep the leading ``ranks[l]`` columns of each layer's U, sigma and V."""
     u_out, s_out, v_out = [], [], []
-    for u, s, v in zip(sorted_f.u, sorted_f.sigma, sorted_f.v):
-        k = retained_rank(s, cfg)
+    for u, s, v, k in zip(f.u, f.sigma, f.v, ranks):
         u_out.append(np.ascontiguousarray(u[:, :k]))
         s_out.append(s[:k].copy())
         v_out.append(np.ascontiguousarray(v[:, :k]))
-    return TaskFactors(task=sorted_f.task, u=u_out, sigma=s_out, v=v_out)
+    return TaskFactors(task=f.task, u=u_out, sigma=s_out, v=v_out)
+
+
+def energy_prune(sorted_f: TaskFactors, cfg: PruneConfig) -> TaskFactors:
+    """Keep the leading retained_rank columns per layer."""
+    return _truncate(sorted_f, [retained_rank(s, cfg) for s in sorted_f.sigma])
 
 
 def compress(f: TaskFactors, cfg: PruneConfig) -> TaskFactors:
@@ -105,10 +109,4 @@ def cap_ranks(f: TaskFactors, caps) -> TaskFactors:
     exceed the first task's expansion width; sigma is sorted, so the
     kept prefix is the best available truncation.
     """
-    u_out, s_out, v_out = [], [], []
-    for u, s, v, cap in zip(f.u, f.sigma, f.v, caps):
-        k = min(s.shape[0], max(int(cap), 0))
-        u_out.append(np.ascontiguousarray(u[:, :k]))
-        s_out.append(s[:k].copy())
-        v_out.append(np.ascontiguousarray(v[:, :k]))
-    return TaskFactors(task=f.task, u=u_out, sigma=s_out, v=v_out)
+    return _truncate(f, [min(s.shape[0], max(int(cap), 0)) for s, cap in zip(f.sigma, caps)])

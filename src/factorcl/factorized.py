@@ -9,6 +9,11 @@ shared space; the current task trains a residual triple on top:
 Per-task cumulative ranks recorded at append time act as task
 identifiers: extracting the first R_{l,t} columns reproduces task t's
 weights bitwise no matter how many tasks were added afterwards.
+
+Outside the autodiff tape, stored factors become a dense weight through
+one formula, :func:`dense_weight`.  It serves extraction, and so the
+frozen prefix a new task trains against is bitwise the weights its
+predecessors serve.
 """
 
 from __future__ import annotations
@@ -255,12 +260,13 @@ def expand(
     return TaskFactors(task=t, u=u, sigma=sigma, v=v), head
 
 
-def _dense_from_cols(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def dense_weight(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dense weight ``(U * sigma) V^T`` of one layer's factor columns."""
     # contiguous copies pin the exact gemm inputs, keeping prefix
     # extraction bitwise stable after later columns are appended
-    uc = np.ascontiguousarray(u[:, lo:hi])
-    sc = np.ascontiguousarray(sigma[lo:hi])
-    vc = np.ascontiguousarray(v[:, lo:hi])
+    uc = np.ascontiguousarray(u)
+    sc = np.ascontiguousarray(sigma)
+    vc = np.ascontiguousarray(v)
     return np.ascontiguousarray((uc * sc) @ vc.T)
 
 
@@ -274,33 +280,6 @@ def _check_residual(spec: NetworkSpec, factors: TaskFactors) -> None:
             )
 
 
-def compose_dense(
-    shared: SharedSpace | None,
-    upto_t: int,
-    residual: TaskFactors | None,
-) -> list[np.ndarray]:
-    """Per-layer dense weights: frozen prefix reconstruction plus residual."""
-    if shared is None and residual is None:
-        raise ValueError("need at least one of shared space or residual factors")
-    if shared is not None and residual is not None:
-        _check_residual(shared.spec, residual)
-    n_layers = len(shared.u) if shared is not None else len(residual.u)
-    out = []
-    for l in range(n_layers):
-        w = None
-        if shared is not None and upto_t > 0:
-            lo, hi = shared.columns(l, min(upto_t, shared.num_tasks))
-            w = _dense_from_cols(shared.u[l], shared.sigma[l], shared.v[l], lo, hi)
-        if residual is not None:
-            wr = (residual.u[l] * residual.sigma[l]) @ residual.v[l].T
-            w = wr if w is None else w + wr
-        if w is None:
-            shape = shared.spec.layers[l]
-            w = np.zeros((shape.c, shape.q), dtype=DTYPE)
-        out.append(np.ascontiguousarray(w.astype(DTYPE, copy=False)))
-    return out
-
-
 @dataclass
 class ComposedWeights:
     """Graph nodes for Eq-style additive weights plus the trainable leaf ids."""
@@ -311,53 +290,33 @@ class ComposedWeights:
     v_leaves: list[int]
 
 
-def frozen_prefix(shared: SharedSpace, upto_t: int) -> list[np.ndarray | None]:
-    """Per-layer dense frozen prefix of task ``upto_t``; None for a layer with no columns.
-
-    The arithmetic is the one the training graph used when it rebuilt the
-    prefix every step from U, sigma and V leaves, ``(U diag(sigma)) V^T``
-    on contiguous column slices, so a prefix composed once per task gives
-    bitwise the same weights.  It may differ from ``_dense_from_cols``'
-    ``(U * sigma) V^T`` in the last bits.
-    """
-    out = []
-    for l in range(shared.spec.num_layers):
-        lo, hi = shared.columns(l, upto_t)
-        if hi <= lo:
-            out.append(None)
-            continue
-        u = np.ascontiguousarray(shared.u[l][:, lo:hi])
-        s = np.ascontiguousarray(shared.sigma[l][lo:hi])
-        v = np.ascontiguousarray(shared.v[l][:, lo:hi])
-        out.append((u @ np.diag(s)) @ np.ascontiguousarray(v.T))
-    return out
-
-
 def compose_weights(
     g: ad.Graph,
-    prefix: list[np.ndarray | None],
+    prefix: list[np.ndarray] | None,
     residual: TaskFactors,
 ) -> ComposedWeights:
     """Build the per-layer additive weight graph.
 
-    Each layer's frozen prefix (from :func:`frozen_prefix`, composed once
-    per task) enters as one frozen leaf, which backward never visits; the
-    residual triple enters as trainable leaves.  A layer whose prefix is
-    None gets the residual term alone.
+    ``prefix`` holds the frozen shared weights the residual trains on top
+    of, the extracted weights of the latest stored task
+    (``extract_subnetwork(shared, shared.num_tasks)[0]``), or None when
+    nothing is stored.  Each layer's prefix enters as one frozen leaf,
+    which backward never visits; the residual triple enters as trainable
+    leaves named ``u{l}``, ``sigma{l}`` and ``v{l}``.
     """
     weights, u_ids, s_ids, v_ids = [], [], [], []
-    for l, w_prefix in enumerate(prefix):
+    for l in range(len(residual.u)):
         u = g.leaf(residual.u[l], trainable=True, name=f"u{l}")
         s = g.leaf(residual.sigma[l], trainable=True, name=f"sigma{l}")
         v = g.leaf(residual.v[l], trainable=True, name=f"v{l}")
         w_res = g.matmul(g.matmul(u, g.diag_embed(s)), g.transpose(v))
-        if w_prefix is not None:
-            if w_prefix.shape != g.value(w_res).shape:
+        if prefix is not None:
+            if prefix[l].shape != g.value(w_res).shape:
                 raise ShapeError(
                     f"layer {l}: residual weight {g.value(w_res).shape} does not fit "
-                    f"the frozen prefix {w_prefix.shape}"
+                    f"the frozen prefix {prefix[l].shape}"
                 )
-            w_res = g.add(g.leaf(w_prefix, name=f"prefix{l}"), w_res)
+            w_res = g.add(g.leaf(prefix[l], name=f"prefix{l}"), w_res)
         weights.append(w_res)
         u_ids.append(u)
         s_ids.append(s)
@@ -417,7 +376,8 @@ def extract_subnetwork(shared: SharedSpace, t: int) -> tuple[list[np.ndarray], T
     weights = []
     for l in range(shared.spec.num_layers):
         lo, hi = shared.columns(l, t)
-        weights.append(_dense_from_cols(shared.u[l], shared.sigma[l], shared.v[l], lo, hi))
+        u, s, v = shared.u[l][:, lo:hi], shared.sigma[l][lo:hi], shared.v[l][:, lo:hi]
+        weights.append(dense_weight(u, s, v))
     return weights, shared.heads[t - 1]
 
 

@@ -33,15 +33,13 @@ _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 60
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def as_matrix(data) -> np.ndarray:
     """Coerce ``data`` to a 2-D float32 C-order array, validating shape."""
     m = np.ascontiguousarray(np.asarray(data, dtype=DTYPE))
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {m.shape}")
-    if rows is not None and m.shape != (rows, cols):
-        raise ShapeError(f"expected shape ({rows}, {cols}), got {m.shape}")
     return m
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    dropout_rates: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -126,13 +125,12 @@ def _fit(
     """The minibatch loop behind both trainers; updates ``params`` in place.
 
     ``build(g)`` puts one step's conv weights on the tape and returns
-    ``(weights, leaves, penalties)``: the weight nodes, the trainable leaf
-    of every key of ``params`` but the head, and ``penalties()``, which
+    ``(weights, penalties)``: the weight nodes and ``penalties()``, which
     returns the weighted regularizer nodes.  The loop calls ``penalties``
     after building the task loss, so the regularizers follow it on the tape.
+    Leaf names are the keys: every trainable leaf is named by its key in
+    ``params``, and its gradient updates that entry.
     """
-    if cfg.dropout_rates is not None:
-        spec = replace(spec, dropout_rates=tuple(cfg.dropout_rates))
     adam = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
     use_dropout = any(r > 0 for r in spec.dropout_rates)
     n = data.train_x.shape[0]
@@ -143,11 +141,11 @@ def _fit(
             batch = order[start : start + cfg.batch_size]
             x, y = data.train_x[batch], data.train_y[batch]
             g = ad.Graph()
-            weights, leaves, penalties = build(g)
+            weights, penalties = build(g)
             seed = _dropout_seed(cfg, task, epoch, start) if use_dropout else 0
             feats = fz.graph_forward(g, weights, spec, g.leaf(x), train=True, dropout_seed=seed)
-            hw = leaves["head_w"] = g.leaf(params["head_w"], trainable=True, name="head_w")
-            hb = leaves["head_b"] = g.leaf(params["head_b"], trainable=True, name="head_b")
+            hw = g.leaf(params["head_w"], trainable=True, name="head_w")
+            hb = g.leaf(params["head_b"], trainable=True, name="head_b")
             loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
             for term in penalties():
                 loss = g.add(loss, term)
@@ -155,8 +153,8 @@ def _fit(
                 raise TrainingError(
                     "non-finite training objective", task=task, epoch=epoch, step=step
                 )
-            grads = g.backward(loss)
-            adam.step(params, {key: grads[leaf] for key, leaf in leaves.items()}, lr)
+            grads = {g.nodes[n].name: d for n, d in g.backward(loss).items()}
+            adam.step(params, grads, lr)
 
 
 def train_task(
@@ -170,17 +168,18 @@ def train_task(
     """Compression-aware training of one task's residual factors and head.
 
     ``shared`` (may be None for isolated training) is read-only; only
-    the fresh factors and head are updated.
+    the fresh factors and head are updated.  The residual trains on top of
+    the weights the latest stored task serves; with no stored task it
+    trains alone.
     """
     if shared is not None:
         spec = shared.spec
     if spec is None:
         raise ValueError("need a NetworkSpec when training without a shared space")
     layers = range(spec.num_layers)
-    if shared is not None:
-        prefix = fz.frozen_prefix(shared, shared.num_tasks)
-    else:
-        prefix = [None] * spec.num_layers
+    prefix = None
+    if shared is not None and shared.num_tasks > 0:
+        prefix = fz.extract_subnetwork(shared, shared.num_tasks)[0]
 
     params: dict[str, np.ndarray] = {}
     for l in layers:
@@ -200,11 +199,6 @@ def train_task(
 
     def build(g: ad.Graph):
         composed = fz.compose_weights(g, prefix, factors())
-        leaves = {}
-        for l in layers:
-            leaves[f"u{l}"] = composed.u_leaves[l]
-            leaves[f"sigma{l}"] = composed.sigma_leaves[l]
-            leaves[f"v{l}"] = composed.v_leaves[l]
 
         def penalties() -> list[int]:
             terms = []
@@ -216,7 +210,7 @@ def train_task(
                 terms.append(g.scale(sparse, cfg.lambda_sparse))
             return terms
 
-        return composed.weights, leaves, penalties
+        return composed.weights, penalties
 
     _fit(data, spec, cfg, fresh.task, params, build)
     return factors(), fz.TaskHead(weight=params["head_w"], bias=params["head_b"])
@@ -269,8 +263,7 @@ def train_dense_task(
     layers = range(spec.num_layers)
 
     def build(g: ad.Graph):
-        leaves = {f"w{l}": g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}") for l in layers}
-        return list(leaves.values()), leaves, lambda: []
+        return [g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}") for l in layers], lambda: []
 
     _fit(data, spec, cfg, task, params, build)
     weights = [params[f"w{l}"] for l in layers]

@@ -263,7 +263,7 @@ def _composed_graph(rng):
             size=residual.v[l].shape
         ).astype(np.float32)
     g = ad.Graph()
-    composed = fz.compose_weights(g, fz.frozen_prefix(shared, 1), residual)
+    composed = fz.compose_weights(g, fz.extract_subnetwork(shared, 1)[0], residual)
     x = g.leaf((rng.normal(size=(2, 2, 2, 2)) * 0.5).astype(np.float32))
     feats = fz.graph_forward(g, composed.weights, spec, x)
     hw = g.leaf(head.weight, trainable=True, name="head_w")
@@ -397,9 +397,8 @@ def test_criterion_07_sparsity_buys_rank():
             data, trained, head, cfg = train_toy(seed, lambda_orth=1.0, lambda_sparse=lam)
             pruned = cp.compress(trained, cfg.prune_config())
             ranks[lam].append(sum(pruned.ranks()))
-            logits = fz.run_network(
-                fz.compose_dense(None, 0, pruned), head, SPEC_TOY, data.test_x
-            )
+            weights = [(u * s) @ v.T for u, s, v in zip(pruned.u, pruned.sigma, pruned.v)]
+            logits = fz.run_network(weights, head, SPEC_TOY, data.test_x)
             accs[lam].append(tr.accuracy(logits, data.test_y))
     mean_rank = {lam: float(np.mean(ranks[lam])) for lam in ranks}
     cost = float(np.mean(accs[0.0]) - np.mean(accs[0.4]))

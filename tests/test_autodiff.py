@@ -180,7 +180,7 @@ def test_full_mode_step_unfolds_each_layer_once(monkeypatch):
     assert calls == {"im2col": spec.num_layers, "col2im": spec.num_layers - 1}
 
 
-def test_frozen_prefix_matches_the_three_leaf_graph():
+def test_training_prefix_matches_the_three_leaf_graph():
     rng = np.random.default_rng(7)
     spec = fz.NetworkSpec.build((3, 4), in_channels=2, input_hw=(5, 5))
     space = fz.empty_space(spec)
@@ -193,10 +193,9 @@ def test_frozen_prefix_matches_the_three_leaf_graph():
         )
         head = fz.TaskHead(np.zeros((spec.head_input_dim, 2), np.float32), np.zeros(2, np.float32))
         space = fz.append(space, factors, head)
-    assert fz.frozen_prefix(space, 0) == [None, None]
     for upto in (1, 2):
         g = ad.Graph()
-        for l, prefix in enumerate(fz.frozen_prefix(space, upto)):
+        for l, prefix in enumerate(fz.extract_subnetwork(space, upto)[0]):
             lo, hi = space.columns(l, upto)
             u = g.leaf(np.ascontiguousarray(space.u[l][:, lo:hi]))
             s = g.leaf(np.ascontiguousarray(space.sigma[l][lo:hi]))

@@ -167,6 +167,22 @@ def test_inconsistent_geometry_rejected():
 # -- npz artifacts ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("where", ["last head bias", "first U entry"])
+def test_non_finite_payload_rejected_at_its_offset(where):
+    space = random_space(seed=6)
+    blob = bytearray(ck.space_to_bytes(space))
+    if where == "last head bias":
+        at = len(blob) - 4
+    else:  # layer 0's U starts right after the rank table
+        t, n_layers = space.num_tasks, SPEC.num_layers
+        at = 16 + 16 * n_layers + 8 * n_layers + 12 + 4 + 4 * n_layers * t
+    assert np.isfinite(np.frombuffer(bytes(blob[at : at + 4]), "<f4")[0])
+    blob[at : at + 4] = struct.pack("<f", float("nan"))
+    with pytest.raises(FormatError) as err:
+        ck.space_from_bytes(bytes(blob))
+    assert err.value.offset == at
+
+
 def test_task_factors_round_trip(tmp_path):
     factors, head = fz.expand(SPEC, 2, seed=1, classes=3)
     path = tmp_path / "task.npz"

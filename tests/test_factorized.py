@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from factorcl import autodiff as ad
 from factorcl import factorized as fz
 from factorcl.errors import NumericError, ShapeError
 from factorcl.linalg import random_orthonormal
@@ -86,14 +87,20 @@ def test_expand_shapes_and_determinism():
 # -- composition ------------------------------------------------------------------
 
 
+def dense_oracle(f):
+    return [(u * s) @ v.T for u, s, v in zip(f.u, f.sigma, f.v)]
+
+
+def composed_values(prefix, residual):
+    g = ad.Graph()
+    return [g.value(w) for w in fz.compose_weights(g, prefix, residual).weights]
+
+
 def test_compose_empty_space_is_residual_only():
     spec = small_spec()
-    space = fz.empty_space(spec)
     res = make_pruned(spec, task=1, seed=3, ranks=(2, 3))
-    composed = fz.compose_dense(space, upto_t=0, residual=res)
-    for l in range(2):
-        direct = (res.u[l] * res.sigma[l]) @ res.v[l].T
-        np.testing.assert_allclose(composed[l], direct, atol=1e-7)
+    for w, direct in zip(composed_values(None, res), dense_oracle(res)):
+        np.testing.assert_allclose(w, direct, atol=1e-7)
 
 
 def test_compose_zero_residual_is_shared_exactly():
@@ -103,9 +110,8 @@ def test_compose_zero_residual_is_shared_exactly():
     res = make_pruned(spec, task=2, seed=5, ranks=(2, 2))
     for l in range(2):
         res.sigma[l][:] = 0.0
-    composed = fz.compose_dense(space, upto_t=1, residual=res)
-    shared_only = fz.compose_dense(space, upto_t=1, residual=None)
-    for a, b in zip(composed, shared_only):
+    shared_only = fz.extract_subnetwork(space, 1)[0]
+    for a, b in zip(composed_values(shared_only, res), shared_only):
         np.testing.assert_array_equal(a, b)
 
 
@@ -122,7 +128,7 @@ def test_compose_rank_one_addition_hand_oracle():
     shared_f = fz.TaskFactors(task=1, u=[u.copy()], sigma=[np.array([2.0], np.float32)], v=[v.copy()])
     space = fz.append(fz.empty_space(spec), shared_f, make_head(spec, 2, 1))
     res = fz.TaskFactors(task=2, u=[u.copy()], sigma=[np.array([3.0], np.float32)], v=[v.copy()])
-    composed = fz.compose_dense(space, upto_t=1, residual=res)
+    composed = composed_values(fz.extract_subnetwork(space, 1)[0], res)
     np.testing.assert_allclose(composed[0], 5.0 * (u @ v.T), atol=1e-6)
 
 
@@ -132,32 +138,30 @@ def test_compose_linear_in_sigma():
     doubled = res.copy()
     for l in range(2):
         doubled.sigma[l] *= 2.0
-    base = fz.compose_dense(None, 0, res)
-    twice = fz.compose_dense(None, 0, doubled)
-    for a, b in zip(base, twice):
+    for a, b in zip(composed_values(None, res), composed_values(None, doubled)):
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-6)
 
 
 def test_compose_shape_mismatch():
     spec = small_spec()
-    res = make_pruned(spec, task=1, seed=8, ranks=(2, 2))
+    pruned = make_pruned(spec, task=1, seed=9, ranks=(2, 2))
+    space = fz.append(fz.empty_space(spec), pruned, make_head(spec, 2, 0))
+    res = make_pruned(spec, task=2, seed=8, ranks=(2, 2))
     res.u[0] = res.u[0][:-1]  # drop a row
     with pytest.raises(ShapeError):
-        fz.compose_dense(fz.empty_space(spec), 0, res)
+        composed_values(fz.extract_subnetwork(space, 1)[0], res)
 
 
 def test_compose_weights_graph_matches_dense_and_freezes_shared():
-    from factorcl import autodiff as ad
-
     spec = small_spec()
     pruned = make_pruned(spec, task=1, seed=10, ranks=(2, 3))
     space = fz.append(fz.empty_space(spec), pruned, make_head(spec, 2, 2))
     res = make_pruned(spec, task=2, seed=11, ranks=(3, 2))
+    prefix = fz.extract_subnetwork(space, 1)[0]
     g = ad.Graph()
-    composed = fz.compose_weights(g, fz.frozen_prefix(space, upto_t=1), residual=res)
-    dense = fz.compose_dense(space, upto_t=1, residual=res)
-    for node, w in zip(composed.weights, dense):
-        np.testing.assert_allclose(g.value(node), w, atol=1e-6)
+    composed = fz.compose_weights(g, prefix, residual=res)
+    for node, w, r in zip(composed.weights, prefix, dense_oracle(res)):
+        np.testing.assert_allclose(g.value(node), w + r, atol=1e-6)
     loss = g.frobenius_norm(composed.weights[0])
     grads = g.backward(loss)
     trainable = set(composed.u_leaves + composed.sigma_leaves + composed.v_leaves)
@@ -212,8 +216,7 @@ def test_extract_first_task_equals_own_composition():
     pruned = make_pruned(spec, 1, seed=16, ranks=(3, 2))
     space = fz.append(fz.empty_space(spec), pruned, make_head(spec, 2, 7))
     weights, _ = fz.extract_subnetwork(space, 1)
-    direct = fz.compose_dense(None, 0, pruned)
-    for a, b in zip(weights, direct):
+    for a, b in zip(weights, dense_oracle(pruned)):
         np.testing.assert_allclose(a, b, atol=1e-7)
 
 
@@ -244,8 +247,7 @@ def test_extract_isolated_segments():
     space = fz.append(space, first, make_head(spec, 2, 8))
     space = fz.append(space, second, make_head(spec, 2, 9))
     weights, _ = fz.extract_subnetwork(space, 2)
-    direct = fz.compose_dense(None, 0, second)
-    for a, b in zip(weights, direct):
+    for a, b in zip(weights, dense_oracle(second)):
         np.testing.assert_allclose(a, b, atol=1e-7)
 
 

@@ -20,6 +20,10 @@ def tiny_stream(tasks=2, seed=0, spc=20):
     ))
 
 
+def dense(f):
+    return [(u * s) @ v.T for u, s, v in zip(f.u, f.sigma, f.v)]
+
+
 def tiny_cfg(**kw):
     base = dict(epochs=2, batch_size=8, lr_drop_epochs=(1,), seed=0, energy_e=1e-2)
     base.update(kw)
@@ -104,13 +108,13 @@ def test_train_task_improves_fit():
     data = tiny_stream(tasks=1)[0]
     fresh, head = fz.expand(SPEC, 1, seed=0, classes=data.classes)
     before = tr.accuracy(
-        fz.run_network(fz.compose_dense(None, 0, fresh), head, SPEC, data.test_x),
+        fz.run_network(dense(fresh), head, SPEC, data.test_x),
         data.test_y,
     )
     cfg = tiny_cfg(epochs=30, lr_drop_epochs=(20,))
     trained, thead = tr.train_task(data, None, fresh, head, cfg, spec=SPEC)
     after = tr.accuracy(
-        fz.run_network(fz.compose_dense(None, 0, trained), thead, SPEC, data.test_x),
+        fz.run_network(dense(trained), thead, SPEC, data.test_x),
         data.test_y,
     )
     assert after >= max(before, 0.9)
@@ -165,6 +169,24 @@ def test_each_trainer_runs_one_backward_pass_per_minibatch(backward_calls):
     backward_calls.clear()
     tr.train_dense_task(data, SPEC, cfg, task=1)
     assert len(backward_calls) == steps
+
+
+def test_each_task_trains_against_the_weights_its_predecessor_serves(monkeypatch):
+    prefixes = []
+    original = fz.compose_weights
+
+    def recording(g, prefix, residual):
+        prefixes.append(prefix)
+        return original(g, prefix, residual)
+
+    monkeypatch.setattr(fz, "compose_weights", recording)
+    space, _ = tr.run_continual(tiny_stream(tasks=3), SPEC, tiny_cfg(epochs=1, lr_drop_epochs=()))
+    steps = len(prefixes) // 3
+    assert prefixes[:steps] == [None] * steps  # the first task trains alone
+    for t in (2, 3):
+        served = fz.extract_subnetwork(space, t - 1)[0]
+        for prefix in prefixes[(t - 1) * steps : t * steps]:
+            assert [w.tobytes() for w in prefix] == [w.tobytes() for w in served]
 
 
 def test_one_backward_gives_each_group_its_own_objective_gradient(backward_calls):
