@@ -10,6 +10,14 @@ and so does any node with an input that does.  ``backward`` visits only
 those nodes, so a frozen subgraph (the composed shared prefix, the data
 batch) is not visited at all and never receives a contribution.
 
+Convolutions keep activations channel-major, ``(C, N, H, W)``: channel
+first, then batch.  ``im2col`` and ``col2im``, ``conv2d_forward`` and the
+``conv2d`` op all take and return that layout, so a convolution's output
+is its gemm result reshaped, with no copy, and its backward reads the
+incoming gradient with a free reshape.  A network whose inputs and
+features are batch-major transposes once on entry to the conv stack and
+once before the flatten (see ``factorized.graph_forward``).
+
 Forward computation is factored into pure per-op functions so the tape
 can be replayed at a different precision with substituted leaf values.
 That is what :func:`grad_check` uses: analytic float32 gradients are
@@ -32,25 +40,27 @@ DTYPE = np.float32
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold image patches into a ``(n*kh*kw, N*Ho*Wo)`` matrix.
+    """Unfold channel-major ``(C, N, H, W)`` patches into a ``(C*kh*kw, N*Ho*Wo)`` matrix.
 
-    The inner patch ordering is row-major ``(channel, kh, kw)`` so the
-    rows line up with a conv weight stored as its ``c x (n*kh*kw)`` matrix.
+    Rows are ordered ``(channel, kh, kw)``, so they line up with a conv
+    weight stored as its ``c x (n*kh*kw)`` matrix; columns are ordered
+    ``(image, out row, out col)``.  Each kernel offset's shifted slice is
+    written straight into a ``(C, kh, kw, N, Ho, Wo)`` buffer, whose
+    reshape is the column matrix.
     """
-    n_im, c_in, h, w = x.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    c_in, n_im, h, w = x.shape
+    out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
     if padding > 0:
-        padded = np.zeros((n_im, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded = np.zeros((c_in, n_im, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
-    cols = np.empty((n_im, c_in, kh, kw, out_h, out_w), dtype=x.dtype)
+    cols = np.empty((c_in, kh, kw, n_im, out_h, out_w), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(1, 2, 3, 0, 4, 5).reshape(c_in * kh * kw, n_im * out_h * out_w)
+            cols[:, i, j] = x[:, :, i:i_max:stride, j:j_max:stride]
+    return cols.reshape(c_in * kh * kw, n_im * out_h * out_w)
 
 
 def col2im(
@@ -61,20 +71,24 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patch columns back to images."""
-    n_im, c_in, h, w = x_shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(c_in, kh, kw, n_im, out_h, out_w).transpose(3, 0, 1, 2, 4, 5)
-    img = np.zeros((n_im, c_in, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    """Adjoint of :func:`im2col`: scatter-add patch columns back to ``(C, N, H, W)``.
+
+    The kernel offsets are added in row-major ``(i, j)`` order into a
+    batch-innermost ``(C, Hp, Wp, N)`` buffer, where each strided add
+    moves whole runs of N contiguous values; the result is one contiguous
+    channel-major copy of the unpadded interior.
+    """
+    c_in, n_im, h, w = x_shape
+    out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
+    cols = cols.reshape(c_in, kh, kw, n_im, out_h, out_w).transpose(0, 1, 2, 4, 5, 3)
+    img = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            img[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        img = img[:, :, padding:-padding, padding:-padding]
-    return img
+            img[:, i:i_max:stride, j:j_max:stride] += cols[:, i, j]
+    img = img[:, padding:padding + h, padding:padding + w]
+    return np.ascontiguousarray(img.transpose(0, 3, 1, 2))
 
 
 def conv_output_size(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
@@ -83,7 +97,10 @@ def conv_output_size(h: int, w: int, kh: int, kw: int, stride: int, padding: int
 
 def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
                    stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Graph-free convolution for inference; same arithmetic as the conv2d op."""
+    """Graph-free convolution for inference; same arithmetic as the conv2d op.
+
+    ``x`` is channel-major ``(C, N, H, W)`` and so is the result.
+    """
     return _f_conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding})
 
 
@@ -119,7 +136,7 @@ def _f_scale(v, aux):
 
 
 def _f_transpose(v, aux):
-    return np.ascontiguousarray(v[0].T)
+    return np.ascontiguousarray(np.transpose(v[0], aux["axes"]))
 
 
 def _f_diag_embed(v, aux):
@@ -162,14 +179,17 @@ def _f_softmax_ce(v, aux):
 
 
 def _conv2d(w, x, aux):
-    """The one conv forward formula: the output and the im2col columns it used."""
+    """The one conv forward formula: the output and the im2col columns it used.
+
+    ``x`` and the output are channel-major, so the output is the gemm
+    result ``(c_out, N*Ho*Wo)`` reshaped, without a copy.
+    """
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
-    n_im = x.shape[0]
+    n_im = x.shape[1]
     out_h, out_w = conv_output_size(x.shape[2], x.shape[3], kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
-    out = w @ cols
-    out = np.ascontiguousarray(out.reshape(w.shape[0], n_im, out_h, out_w).transpose(1, 0, 2, 3))
+    out = (w @ cols).reshape(w.shape[0], n_im, out_h, out_w)
     return out, cols
 
 
@@ -220,7 +240,9 @@ def _b_scale(g, v, out, aux):
 
 
 def _b_transpose(g, v, out, aux):
-    return [np.ascontiguousarray(g.T)]
+    axes = aux["axes"]
+    inverse = None if axes is None else np.argsort(axes)
+    return [np.ascontiguousarray(np.transpose(g, inverse))]
 
 
 def _b_diag_embed(g, v, out, aux):
@@ -269,7 +291,7 @@ def _b_conv2d(g, v, out, aux):
     w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
-    g_mat = g.transpose(1, 0, 2, 3).reshape(w.shape[0], -1)
+    g_mat = g.reshape(w.shape[0], -1)
     gw = g_mat @ aux["cols"].T
     if not aux["x_needs_grad"]:
         return [gw, None]
@@ -371,10 +393,17 @@ class Graph:
     def scale(self, a: int, alpha: float) -> int:
         return self._apply("scale", (a,), {"alpha": float(alpha)})
 
-    def transpose(self, a: int) -> int:
-        if self.nodes[a].value.ndim != 2:
-            raise ShapeError("transpose expects a 2-D value")
-        return self._apply("transpose", (a,))
+    def transpose(self, a: int, axes: tuple[int, ...] | None = None) -> int:
+        """Permute ``a``'s axes; ``axes=None`` is the transpose of a 2-D value."""
+        ndim = self.nodes[a].value.ndim
+        if axes is None:
+            if ndim != 2:
+                raise ShapeError("transpose without axes expects a 2-D value")
+        else:
+            axes = tuple(int(ax) for ax in axes)
+            if sorted(axes) != list(range(ndim)):
+                raise ShapeError(f"transpose: axes {axes} do not permute {ndim} dimensions")
+        return self._apply("transpose", (a,), {"axes": axes})
 
     def diag_embed(self, a: int) -> int:
         if self.nodes[a].value.ndim != 1:
@@ -424,11 +453,12 @@ class Graph:
         return self._apply("softmax_cross_entropy", (logits,), {"labels": labels})
 
     def conv2d(self, weight: int, x: int, kernel: tuple[int, int, int], stride: int = 1, padding: int = 0) -> int:
+        """Convolve channel-major ``x`` ``(C, N, H, W)``; the output is ``(c, N, Ho, Wo)``."""
         vw, vx = self.nodes[weight].value, self.nodes[x].value
         c_in, kh, kw = kernel
         if vw.ndim != 2 or vw.shape[1] != c_in * kh * kw:
             raise ShapeError(f"conv2d: weight {vw.shape} vs kernel {kernel}")
-        if vx.ndim != 4 or vx.shape[1] != c_in:
+        if vx.ndim != 4 or vx.shape[0] != c_in:
             raise ShapeError(f"conv2d: input {vx.shape} vs {c_in} channels")
         out_h, out_w = conv_output_size(vx.shape[2], vx.shape[3], kh, kw, stride, padding)
         if out_h < 1 or out_w < 1:

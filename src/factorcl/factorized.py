@@ -332,9 +332,17 @@ def graph_forward(
     train: bool = False,
     dropout_seed: int = 0,
 ) -> int:
-    """Conv stack forward on graph nodes; returns flattened feature node."""
-    h = x_node
+    """Conv stack forward on graph nodes; returns flattened feature node.
+
+    ``x_node`` is batch-major ``(N, C, H, W)`` and the result is
+    ``(N, head_input_dim)``.  In between, activations are channel-major
+    ``(C, N, H, W)``: one transpose on entry and one before the flatten.
+    Dropout draws its mask over that channel-major shape, so a seeded
+    dropout run draws its mask in a different element order than over a
+    batch-major activation.
+    """
     batch = g.value(x_node).shape[0]
+    h = g.transpose(x_node, (1, 0, 2, 3))
     for l, shape in enumerate(spec.layers):
         h = g.conv2d(
             weights[l], h, kernel=(shape.n, shape.h, shape.w),
@@ -344,19 +352,23 @@ def graph_forward(
         rate = spec.dropout_rates[l]
         if rate > 0.0:
             h = g.dropout(h, rate=rate, seed=dropout_seed + l, train=train)
-    return g.reshape(h, (batch, spec.head_input_dim))
+    return g.reshape(g.transpose(h, (1, 0, 2, 3)), (batch, spec.head_input_dim))
 
 
 def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
-    """Inference-mode conv stack on plain arrays (no dropout)."""
-    h = np.ascontiguousarray(np.asarray(x, dtype=DTYPE))
+    """Inference-mode conv stack on plain arrays (no dropout).
+
+    Takes batch-major ``(N, C, H, W)`` input and returns ``(N, head_input_dim)``
+    features; the conv stack runs channel-major in between.
+    """
+    h = np.ascontiguousarray(np.transpose(x, (1, 0, 2, 3)), dtype=DTYPE)
     for l, shape in enumerate(spec.layers):
         h = ad.conv2d_forward(
             weights[l], h, kernel=(shape.n, shape.h, shape.w),
             stride=spec.strides[l], padding=spec.paddings[l],
         )
-        h = np.maximum(h, 0)
-    return h.reshape(h.shape[0], spec.head_input_dim)
+        np.maximum(h, 0, out=h)  # h is this layer's fresh conv output
+    return h.transpose(1, 0, 2, 3).reshape(h.shape[1], spec.head_input_dim)
 
 
 def run_network(weights, head: TaskHead, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,11 @@ class MetricsReport:
     training task j+1; entries above the diagonal are NaN (task not yet
     seen).  ACC averages the final row; BWT averages the change of each
     earlier task's accuracy between its own row and the final row.
+
+    ``parity_crossings`` lists each layer whose stored factors ended up
+    costing more than its dense weight: ``{"layer", "width",
+    "parity_width", "first_task"}``, the layer's final stored width, its
+    parity width and the first task whose append passed it.
     """
 
     acc_matrix: np.ndarray
@@ -27,6 +32,7 @@ class MetricsReport:
     rank_allocation: list[list[int]] = field(default_factory=list)
     wall_clock: list[float] = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    parity_crossings: list[dict] = field(default_factory=list)
 
     @property
     def size_mb(self) -> float:
@@ -47,6 +53,7 @@ class MetricsReport:
                 "rank_allocation": self.rank_allocation,
                 "wall_clock": self.wall_clock,
                 "config": self.config,
+                "parity_crossings": self.parity_crossings,
             },
             indent=2,
         )
@@ -66,6 +73,7 @@ class MetricsReport:
             rank_allocation=blob.get("rank_allocation", []),
             wall_clock=blob.get("wall_clock", []),
             config=blob.get("config", {}),
+            parity_crossings=blob.get("parity_crossings", []),
         )
 
 
@@ -88,6 +96,7 @@ def compute_metrics(
     rank_allocation=None,
     wall_clock=None,
     config=None,
+    parity_crossings=None,
 ) -> MetricsReport:
     matrix = as_matrix(acc_rows)
     t = matrix.shape[0]
@@ -110,4 +119,5 @@ def compute_metrics(
         rank_allocation=rank_allocation or [],
         wall_clock=wall_clock or [],
         config=config or {},
+        parity_crossings=parity_crossings or [],
     )

@@ -334,14 +334,19 @@ def run_continual(
         wall.append(time.perf_counter() - begin)
         acc_rows.append(_accuracies(lambda i, x: fz.predict_logits(space, i, x), stream, t))
 
-    if crossed:
+    crossings = [
+        {"layer": l, "width": space.total_width(l),
+         "parity_width": spec.layers[l].expansion_rank(), "first_task": t}
+        for l, t in sorted(crossed.items())
+    ]
+    if crossings:
         log.warning(
             "stored factors cost more than a dense layer in %d layer(s): %s",
-            len(crossed),
+            len(crossings),
             "; ".join(
-                f"layer {l} width {space.total_width(l)} > parity width "
-                f"{spec.layers[l].expansion_rank()} since task {t}"
-                for l, t in sorted(crossed.items())
+                f"layer {c['layer']} width {c['width']} > parity width "
+                f"{c['parity_width']} since task {c['first_task']}"
+                for c in crossings
             ),
         )
     rank_alloc = []
@@ -354,5 +359,6 @@ def run_continual(
     report = compute_metrics(
         acc_rows, fz.size_bytes(space),
         rank_allocation=rank_alloc, wall_clock=wall, config=asdict(cfg),
+        parity_crossings=crossings,
     )
     return space, report

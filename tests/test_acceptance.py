@@ -232,7 +232,8 @@ def _op_graph(op: str, rng):
         x = leaf((2, 2, 5, 5), scale=0.5)
         w = leaf((3, 2 * 3 * 3), scale=0.3)
         out = g.conv2d(w, x, kernel=(2, 3, 3), stride=int(rng.integers(1, 3)), padding=1)
-        loss = g.frobenius_norm(g.reshape(out, (2, int(np.prod(g.value(out).shape[1:])))))
+        n_out = g.value(out).shape[0]
+        loss = g.frobenius_norm(g.reshape(out, (n_out, int(np.prod(g.value(out).shape[1:])))))
     else:
         raise AssertionError(op)
     return g, loss

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,11 @@ from factorcl.errors import DataError, ShapeError
 def rng_array(shape, seed, scale=1.0, offset=0.0):
     rng = np.random.default_rng(seed)
     return (rng.normal(size=shape) * scale + offset).astype(np.float32)
+
+
+def channel_major(a):
+    """A batch-major ``(N, C, H, W)`` array in the conv layout ``(C, N, H, W)``."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
 def check(graph, loss, tol=1e-3, **kw):
@@ -41,20 +47,70 @@ def test_relu_values():
 
 def test_conv2d_1x1_kernel_equals_pointwise_matmul():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+    x = channel_major(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
     w = rng.normal(size=(5, 3)).astype(np.float32)
     g = ad.Graph()
     out = g.conv2d(g.leaf(w), g.leaf(x), kernel=(3, 1, 1))
-    direct = np.einsum("oc,bchw->bohw", w, x)
+    direct = np.einsum("oc,cbhw->obhw", w, x)
     np.testing.assert_allclose(g.value(out), direct, atol=1e-5)
 
 
 def test_conv2d_stride_padding_shapes():
     g = ad.Graph()
-    x = g.leaf(rng_array((1, 2, 7, 7), seed=1))
+    x = g.leaf(channel_major(rng_array((1, 2, 7, 7), seed=1)))
     w = g.leaf(rng_array((4, 2 * 3 * 3), seed=2))
     out = g.conv2d(w, x, kernel=(2, 3, 3), stride=2, padding=1)
-    assert g.value(out).shape == (1, 4, 4, 4)
+    assert g.value(out).shape == (4, 1, 4, 4)
+
+
+def _im2col_loop(x, kh, kw, stride, padding):
+    """Per-pixel reference: column (n, oy, ox), row (c, i, j) of the padded input."""
+    c_in, n_im, h, w = x.shape
+    out_h, out_w = ad.conv_output_size(h, w, kh, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((c_in * kh * kw, n_im * out_h * out_w), dtype=x.dtype)
+    for c, i, j, n, oy, ox in itertools.product(
+        range(c_in), range(kh), range(kw), range(n_im), range(out_h), range(out_w)
+    ):
+        cols[(c * kh + i) * kw + j, (n * out_h + oy) * out_w + ox] = \
+            xp[c, n, oy * stride + i, ox * stride + j]
+    return cols
+
+
+def _col2im_loop(cols, x_shape, kh, kw, stride, padding):
+    """Per-pixel reference scatter-add; each pixel sums its kernel offsets in (i, j) order."""
+    c_in, n_im, h, w = x_shape
+    out_h, out_w = ad.conv_output_size(h, w, kh, kw, stride, padding)
+    img = np.zeros((c_in, n_im, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i, j in itertools.product(range(kh), range(kw)):
+        for c, n, oy, ox in itertools.product(
+            range(c_in), range(n_im), range(out_h), range(out_w)
+        ):
+            img[c, n, oy * stride + i, ox * stride + j] += \
+                cols[(c * kh + i) * kw + j, (n * out_h + oy) * out_w + ox]
+    return img[:, :, padding:padding + h, padding:padding + w]
+
+
+@pytest.mark.parametrize("hw", [(5, 5), (6, 6), (5, 6)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+def test_im2col_col2im_match_per_pixel_loops(hw, stride, padding, kernel):
+    kh, kw = kernel
+    x_shape = (2, 3, *hw)  # channel-major (C, N, H, W)
+    x = rng_array(x_shape, seed=40)
+    cols = ad.im2col(x, kh, kw, stride, padding)
+    assert cols.tobytes() == _im2col_loop(x, kh, kw, stride, padding).tobytes()
+    g = rng_array(cols.shape, seed=41)
+    img = ad.col2im(g, x_shape, kh, kw, stride, padding)
+    assert img.shape == x_shape and img.flags["C_CONTIGUOUS"]
+    assert img.tobytes() == _col2im_loop(g, x_shape, kh, kw, stride, padding).tobytes()
+    # adjoint identity <im2col(x), c> = <x, col2im(c)>, in float64
+    x64 = np.random.default_rng(42).normal(size=x_shape)
+    c64 = np.random.default_rng(43).normal(size=cols.shape)
+    lhs = np.vdot(ad.im2col(x64, kh, kw, stride, padding), c64)
+    rhs = np.vdot(x64, ad.col2im(c64, x_shape, kh, kw, stride, padding))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_forward_matches_pure_recomputation():
@@ -150,7 +206,8 @@ def test_conv2d_on_frozen_input_skips_col2im(monkeypatch):
     weight_grads, col2im_calls = [], []
     for x_trainable in (False, True):
         g = ad.Graph()
-        x = g.leaf(rng_array((2, 3, 6, 6), seed=22, scale=0.5), trainable=x_trainable)
+        x = g.leaf(channel_major(rng_array((2, 3, 6, 6), seed=22, scale=0.5)),
+                   trainable=x_trainable)
         w = g.leaf(rng_array((4, 3 * 3 * 3), seed=23, scale=0.3), trainable=True)
         out = g.conv2d(w, x, kernel=(3, 3, 3), stride=2, padding=1)
         weight_grads.append(g.backward(g.frobenius_norm(g.reshape(out, (2, 4 * 3 * 3))))[w])
@@ -239,6 +296,22 @@ def test_fd_transpose_diag_embed():
     check(g, loss)
 
 
+def test_fd_transpose_4d_axes():
+    g = ad.Graph()
+    x = g.leaf(rng_array((2, 3, 4, 5), seed=27), trainable=True, name="x")
+    # not its own inverse, so a backward that reapplied the axes would misplace entries
+    t = g.transpose(x, (2, 0, 3, 1))
+    assert g.value(t).shape == (4, 2, 5, 3)
+    assert g.value(t).tobytes() == np.ascontiguousarray(g.value(x).transpose(2, 0, 3, 1)).tobytes()
+    mix = g.leaf(rng_array((15, 3), seed=28), trainable=True, name="mix")
+    loss = g.frobenius_norm(g.matmul(g.reshape(t, (8, 15)), mix))
+    check(g, loss)
+    with pytest.raises(ShapeError):
+        g.transpose(x, (0, 1, 2))
+    with pytest.raises(ShapeError):
+        g.transpose(x, (0, 1, 2, 2))
+
+
 def test_fd_relu_away_from_kink():
     g = ad.Graph()
     x = g.leaf(rng_array((5, 5), seed=14, offset=0.0) + 0.2, trainable=True, name="x")
@@ -273,7 +346,7 @@ def test_fd_linear_softmax_ce():
 
 def test_fd_conv2d():
     g = ad.Graph()
-    x = g.leaf(rng_array((2, 3, 6, 6), seed=22, scale=0.5), trainable=True, name="x")
+    x = g.leaf(channel_major(rng_array((2, 3, 6, 6), seed=22, scale=0.5)), trainable=True, name="x")
     w = g.leaf(rng_array((4, 3 * 3 * 3), seed=23, scale=0.3), trainable=True, name="w")
     out = g.conv2d(w, x, kernel=(3, 3, 3), stride=2, padding=1)
     loss = g.frobenius_norm(g.reshape(out, (2, 4 * 3 * 3)))
@@ -297,9 +370,9 @@ def test_fd_composed_factorized_conv_net():
     s = g.leaf(np.abs(rng.normal(size=r)).astype(np.float32) + 0.3, trainable=True, name="s")
     v = g.leaf(rng.normal(size=(nhw, r)).astype(np.float32) * 0.4, trainable=True, name="v")
     w = g.add(frozen, g.matmul(g.matmul(u, g.diag_embed(s)), g.transpose(v)))
-    x = g.leaf(rng.normal(size=(4, 2, 5, 5)).astype(np.float32) * 0.5)
+    x = g.leaf(channel_major(rng.normal(size=(4, 2, 5, 5)).astype(np.float32) * 0.5))
     feat = g.relu(g.conv2d(w, x, kernel=(2, 3, 3), padding=1))
-    flat = g.reshape(feat, (4, c * 5 * 5))
+    flat = g.reshape(g.transpose(feat, (1, 0, 2, 3)), (4, c * 5 * 5))
     hw = g.leaf(rng.normal(size=(c * 5 * 5, 3)).astype(np.float32) * 0.1, trainable=True, name="head_w")
     hb = g.leaf(np.zeros(3, dtype=np.float32), trainable=True, name="head_b")
     loss = g.softmax_cross_entropy(g.linear(flat, hw, hb), np.array([0, 1, 2, 0]))

@@ -8,6 +8,7 @@ from factorcl import factorized as fz
 from factorcl import trainer as tr
 from factorcl.datasets import TaskStreamSpec, generate_stream
 from factorcl.errors import ConfigError, TrainingError
+from factorcl.metrics import MetricsReport
 
 SPEC = fz.NetworkSpec.build((3, 3), in_channels=2, input_hw=(3, 3))
 
@@ -293,21 +294,29 @@ def test_fixed_mode_caps_total_width():
 def test_parity_warning_fires_once_per_run(caplog):
     stream = tiny_stream(tasks=3)
     with caplog.at_level(logging.WARNING, logger="factorcl.trainer"):
-        space, _ = tr.run_continual(stream, SPEC, tiny_cfg())
+        space, report = tr.run_continual(stream, SPEC, tiny_cfg())
     # every task appends at least one column against a parity width of 2,
     # so both layers cross, at least one of them before the last task
     assert len(caplog.records) == 1
     message = caplog.records[0].getMessage()
+    crossings = []
     for l, shape in enumerate(SPEC.layers):
         parity = shape.expansion_rank()
         first = 1 + next(i for i, r in enumerate(space.rank_table[l]) if r > parity)
         assert f"layer {l} width {space.total_width(l)} > parity width {parity} " \
             f"since task {first}" in message
+        crossings.append({"layer": l, "width": space.total_width(l),
+                          "parity_width": parity, "first_task": first})
+    # the same summary goes into the report and survives its JSON round trip
+    assert report.parity_crossings == crossings
+    assert MetricsReport.from_json(report.to_json()).parity_crossings == crossings
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factorcl.trainer"):
-        tr.run_continual(stream, SPEC, tiny_cfg(mode="fixed"))
+        _, fixed = tr.run_continual(stream, SPEC, tiny_cfg(mode="fixed"))
     assert caplog.records == []
+    assert fixed.parity_crossings == []
+    assert MetricsReport.from_json(fixed.to_json()).parity_crossings == []
 
 
 def test_raw_sink_collects_unpruned_factors():
