@@ -18,6 +18,11 @@ incoming gradient with a free reshape.  A network whose inputs and
 features are batch-major transposes once on entry to the conv stack and
 once before the flatten (see ``factorized.graph_forward``).
 
+Each formula of the factorized model is one op with a closed-form
+backward: ``factor_product`` (a layer's weight ``(U*s)·Vᵀ``),
+``gram_deviation`` (``‖XᵀX − I‖_F``) and ``hoyer`` (``‖s‖₁ / (‖s‖₂ + ε)``);
+the rest of the package evaluates the same forward functions eagerly.
+
 Forward computation is factored into pure per-op functions so the tape
 can be replayed at a different precision with substituted leaf values.
 That is what :func:`grad_check` uses: analytic float32 gradients are
@@ -35,8 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .linalg import dense_weight
 
 DTYPE = np.float32
+
+# Added to the Hoyer ratio's denominator so an all-zero sigma has a value.
+HOYER_EPS = 1e-12
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
@@ -104,6 +113,21 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
     return _f_conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding})
 
 
+def gram_deviation(x: np.ndarray):
+    """``‖XᵀX − I‖_F`` of a 2-D ``x`` at its precision; the ``gram_deviation`` forward."""
+    return _f_frobenius([_gram_residual(x)], None)
+
+
+def _gram_residual(x: np.ndarray) -> np.ndarray:
+    # a contiguous copy of Xᵀ pins the gemm operands, and so the bits of XᵀX
+    return np.ascontiguousarray(x.T) @ x - np.eye(x.shape[1], dtype=x.dtype)
+
+
+def hoyer(s: np.ndarray, eps: float):
+    """``‖s‖₁ / (‖s‖₂ + eps)`` of a 1-D ``s`` at its precision; the ``hoyer`` forward."""
+    return np.abs(s).sum() / (np.sqrt((s * s).sum()) + s.dtype.type(eps))
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     while g.ndim > len(shape):
@@ -139,10 +163,6 @@ def _f_transpose(v, aux):
     return np.ascontiguousarray(np.transpose(v[0], aux["axes"]))
 
 
-def _f_diag_embed(v, aux):
-    return np.diag(v[0])
-
-
 def _f_relu(v, aux):
     return np.maximum(v[0], 0)
 
@@ -153,16 +173,8 @@ def _f_reshape(v, aux):
     return out if out.flags["C_CONTIGUOUS"] else np.ascontiguousarray(out)
 
 
-def _f_div(v, aux):
-    return v[0] / v[1]
-
-
 def _f_frobenius(v, aux):
     return np.sqrt((v[0] * v[0]).sum())
-
-
-def _f_l1(v, aux):
-    return np.abs(v[0]).sum()
 
 
 def _f_linear(v, aux):
@@ -209,13 +221,12 @@ _FORWARD = {
     "add": _f_add,
     "scale": _f_scale,
     "transpose": _f_transpose,
-    "diag_embed": _f_diag_embed,
     "relu": _f_relu,
     "reshape": _f_reshape,
-    "div": _f_div,
     "frobenius_norm": _f_frobenius,
-    "l2_norm": _f_frobenius,
-    "l1_norm": _f_l1,
+    "factor_product": lambda v, aux: dense_weight(*v),
+    "gram_deviation": lambda v, aux: gram_deviation(v[0]),
+    "hoyer": lambda v, aux: hoyer(v[0], HOYER_EPS),
     "linear": _f_linear,
     "softmax_cross_entropy": _f_softmax_ce,
     "conv2d": _f_conv2d,
@@ -245,21 +256,12 @@ def _b_transpose(g, v, out, aux):
     return [np.ascontiguousarray(np.transpose(g, inverse))]
 
 
-def _b_diag_embed(g, v, out, aux):
-    return [np.diagonal(g).copy()]
-
-
 def _b_relu(g, v, out, aux):
     return [g * (v[0] > 0)]
 
 
 def _b_reshape(g, v, out, aux):
     return [g.reshape(v[0].shape)]
-
-
-def _b_div(g, v, out, aux):
-    a, b = v
-    return [_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape)]
 
 
 def _b_frobenius(g, v, out, aux):
@@ -269,8 +271,25 @@ def _b_frobenius(g, v, out, aux):
     return [g * (v[0] / v[0].dtype.type(norm))]
 
 
-def _b_l1(g, v, out, aux):
-    return [g * np.sign(v[0])]
+def _b_factor_product(g, v, out, aux):
+    u, s, vt = v
+    gv = g @ vt
+    return [gv * s, np.diagonal(u.T @ gv).copy(), g.T @ (u * s)]
+
+
+def _b_gram_deviation(g, v, out, aux):
+    # 2·X·(d‖D‖/dD) for the symmetric D = XᵀX − I, so 0 at the kink D = 0
+    x = v[0]
+    return [2 * (x @ _b_frobenius(g, [_gram_residual(x)], out, aux)[0])]
+
+
+def _b_hoyer(g, v, out, aux):
+    # quotient rule; at s = 0 the ‖s‖₂ term's gradient is taken as 0
+    s = v[0]
+    num, l2 = np.abs(s).sum(), np.sqrt((s * s).sum())
+    den = l2 + s.dtype.type(HOYER_EPS)
+    g_s = g / den * np.sign(s)
+    return [g_s if l2 == 0 else (-g * num / (den * den)) * (s / l2) + g_s]
 
 
 def _b_linear(g, v, out, aux):
@@ -311,13 +330,12 @@ _BACKWARD = {
     "add": _b_add,
     "scale": _b_scale,
     "transpose": _b_transpose,
-    "diag_embed": _b_diag_embed,
     "relu": _b_relu,
     "reshape": _b_reshape,
-    "div": _b_div,
     "frobenius_norm": _b_frobenius,
-    "l2_norm": _b_frobenius,
-    "l1_norm": _b_l1,
+    "factor_product": _b_factor_product,
+    "gram_deviation": _b_gram_deviation,
+    "hoyer": _b_hoyer,
     "linear": _b_linear,
     "softmax_cross_entropy": _b_softmax_ce,
     "conv2d": _b_conv2d,
@@ -370,9 +388,6 @@ class Graph:
                  needs_grad=trainable)
         )
 
-    def constant(self, value, name: str | None = None) -> int:
-        return self.leaf(value, trainable=False, name=name)
-
     # -- ops ---------------------------------------------------------------
 
     def matmul(self, a: int, b: int) -> int:
@@ -405,11 +420,6 @@ class Graph:
                 raise ShapeError(f"transpose: axes {axes} do not permute {ndim} dimensions")
         return self._apply("transpose", (a,), {"axes": axes})
 
-    def diag_embed(self, a: int) -> int:
-        if self.nodes[a].value.ndim != 1:
-            raise ShapeError("diag_embed expects a 1-D vector")
-        return self._apply("diag_embed", (a,))
-
     def relu(self, a: int) -> int:
         return self._apply("relu", (a,))
 
@@ -418,17 +428,28 @@ class Graph:
             raise ShapeError(f"reshape: {self.nodes[a].value.shape} -> {shape}")
         return self._apply("reshape", (a,), {"shape": tuple(shape)})
 
-    def div(self, a: int, b: int) -> int:
-        return self._apply("div", (a, b))
-
     def frobenius_norm(self, a: int) -> int:
         return self._apply("frobenius_norm", (a,))
 
-    def l1_norm(self, a: int) -> int:
-        return self._apply("l1_norm", (a,))
+    def factor_product(self, u: int, s: int, v: int) -> int:
+        """A layer's weight ``(U*s)·Vᵀ`` from factors ``U`` (c, r), ``s`` (r,), ``V`` (q, r)."""
+        shapes = [self.nodes[i].value.shape for i in (u, s, v)]
+        if [len(sh) for sh in shapes] != [2, 1, 2] or len({sh[-1] for sh in shapes}) != 1:
+            raise ShapeError(f"factor_product: U{shapes[0]} s{shapes[1]} V{shapes[2]} "
+                             "are not (c, r), (r,), (q, r)")
+        return self._apply("factor_product", (u, s, v))
 
-    def l2_norm(self, a: int) -> int:
-        return self._apply("l2_norm", (a,))
+    def gram_deviation(self, a: int) -> int:
+        """``‖XᵀX − I‖_F`` of a 2-D ``X``."""
+        if self.nodes[a].value.ndim != 2:
+            raise ShapeError("gram_deviation expects a 2-D matrix")
+        return self._apply("gram_deviation", (a,))
+
+    def hoyer(self, a: int) -> int:
+        """Hoyer ratio ``‖s‖₁ / (‖s‖₂ + HOYER_EPS)`` of a 1-D ``s``."""
+        if self.nodes[a].value.ndim != 1:
+            raise ShapeError("hoyer expects a 1-D vector")
+        return self._apply("hoyer", (a,))
 
     def linear(self, x: int, w: int, b: int) -> int:
         vx, vw, vb = (self.nodes[i].value for i in (x, w, b))

@@ -15,6 +15,9 @@ Shared spaces use a versioned little-endian binary layout (magic
 A file is parsed completely before any model object is constructed, so
 a corrupt or truncated file, or one holding a non-finite real, raises
 FormatError (with the failing byte offset) and never yields partial state.
+Serving builds each layer's dense c x q weight, so a file whose layers
+sum to over MAX_DENSE_WEIGHTS of them is rejected as they are read: a
+zero-rank file of a hundred bytes could otherwise ask for gigabytes.
 
 Task checkpoints, dense reference models, and datasets are plain npz
 archives; their consumers do not need bit-level guarantees beyond what
@@ -37,6 +40,8 @@ from .trainer import DenseTaskModels
 MAGIC = b"CACL"
 VERSION = 1
 _FLAG_ISOLATED = 1
+# Cap on the sum over layers of c * q: 64 MiB of float32 dense weights.
+MAX_DENSE_WEIGHTS = 1 << 24
 
 
 def _f32_column_bytes(a: np.ndarray) -> bytes:
@@ -123,11 +128,16 @@ def space_from_bytes(data: bytes) -> SharedSpace:
         raise FormatError("layer count must be positive", offset=12)
 
     layers = []
+    dense = 0
     for l in range(n_layers):
         at = r.pos
         c, n, h, w = r.u32(4)
         if min(c, n, h, w) < 1:
             raise FormatError(f"layer {l} has a zero dimension", offset=at)
+        dense += c * n * h * w
+        if dense > MAX_DENSE_WEIGHTS:
+            raise FormatError(f"layers 0..{l} need {dense} dense weights, over "
+                              f"the cap of {MAX_DENSE_WEIGHTS}", offset=at)
         layers.append(LayerShape(c=c, n=n, h=h, w=w))
     strides, paddings = [], []
     for l in range(n_layers):

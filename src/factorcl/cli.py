@@ -43,7 +43,7 @@ NETWORK_KEYS = {"channels", "kernel", "stride", "padding", "dropout"}
 TRAIN_KEYS = {
     "epochs", "batch_size", "base_lr", "lr_drop_epochs", "lr_drop_factor",
     "lambda_orth", "lambda_sparse", "energy_e", "mode", "seed", "min_rank",
-    "prune_rule", "beta1", "beta2", "eps",
+    "beta1", "beta2", "eps",
 }
 CONFIG_KEYS = STREAM_KEYS | NETWORK_KEYS | TRAIN_KEYS
 

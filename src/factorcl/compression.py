@@ -14,30 +14,22 @@ import numpy as np
 
 from .factorized import TaskFactors
 
-RULES = ("energy_ratio", "tail_vs_retained")
-
 
 @dataclass(frozen=True)
 class PruneConfig:
     """energy_e in [0, 1) controls pruning intensity; higher prunes more.
 
-    rule selects the retention criterion: "energy_ratio" keeps the
-    minimal k with retained/total >= 1 - e; "tail_vs_retained" keeps the
-    minimal k with tail energy <= e * retained energy.  The two differ
-    only in how e scales (e*total vs e*retained).
+    Pruning keeps the minimal k with retained/total energy >= 1 - e.
     """
 
     energy_e: float
     min_rank: int = 1
-    rule: str = "energy_ratio"
 
     def __post_init__(self):
         if not 0.0 <= self.energy_e < 1.0:
             raise ValueError(f"energy_e must be in [0, 1), got {self.energy_e}")
         if self.min_rank < 1:
             raise ValueError(f"min_rank must be >= 1, got {self.min_rank}")
-        if self.rule not in RULES:
-            raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
 
 
 def sort_by_magnitude(f: TaskFactors) -> TaskFactors:
@@ -74,11 +66,7 @@ def retained_rank(sigma: np.ndarray, cfg: PruneConfig) -> int:
     total = float(energy.sum())
     if total == 0.0:
         return floor
-    cum = np.cumsum(energy)
-    if cfg.rule == "energy_ratio":
-        hit = cum / total >= 1.0 - cfg.energy_e
-    else:
-        hit = (total - cum) <= cfg.energy_e * cum
+    hit = np.cumsum(energy) / total >= 1.0 - cfg.energy_e
     k = int(np.argmax(hit)) + 1 if np.any(hit) else r
     return max(k, floor)
 

@@ -10,10 +10,11 @@ Per-task cumulative ranks recorded at append time act as task
 identifiers: extracting the first R_{l,t} columns reproduces task t's
 weights bitwise no matter how many tasks were added afterwards.
 
-Outside the autodiff tape, stored factors become a dense weight through
-one formula, :func:`dense_weight`.  It serves extraction, and so the
+Stored factors become a dense weight through one formula,
+:func:`dense_weight` (from ``linalg``).  It serves extraction, so the
 frozen prefix a new task trains against is bitwise the weights its
-predecessors serve.
+predecessors serve, and it is the forward of the tape's
+``factor_product`` op, which builds the residual's weight in training.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericError, ShapeError
-from .linalg import DTYPE, random_orthonormal
+from .linalg import DTYPE, dense_weight, random_orthonormal
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class LayerShape:
     @property
     def q(self) -> int:
         return self.n * self.h * self.w
-
-    @property
-    def dense_params(self) -> int:
-        return self.c * self.q
 
     def expansion_rank(self) -> int:
         # width at which factorized params (c*r + q*r + r) stay below dense c*q
@@ -260,16 +257,6 @@ def expand(
     return TaskFactors(task=t, u=u, sigma=sigma, v=v), head
 
 
-def dense_weight(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense weight ``(U * sigma) V^T`` of one layer's factor columns."""
-    # contiguous copies pin the exact gemm inputs, keeping prefix
-    # extraction bitwise stable after later columns are appended
-    uc = np.ascontiguousarray(u)
-    sc = np.ascontiguousarray(sigma)
-    vc = np.ascontiguousarray(v)
-    return np.ascontiguousarray((uc * sc) @ vc.T)
-
-
 def _check_residual(spec: NetworkSpec, factors: TaskFactors) -> None:
     for l, shape in enumerate(spec.layers):
         r = factors.sigma[l].shape[0]
@@ -302,14 +289,15 @@ def compose_weights(
     (``extract_subnetwork(shared, shared.num_tasks)[0]``), or None when
     nothing is stored.  Each layer's prefix enters as one frozen leaf,
     which backward never visits; the residual triple enters as trainable
-    leaves named ``u{l}``, ``sigma{l}`` and ``v{l}``.
+    leaves named ``u{l}``, ``sigma{l}`` and ``v{l}``, joined by one
+    ``factor_product`` node.
     """
     weights, u_ids, s_ids, v_ids = [], [], [], []
     for l in range(len(residual.u)):
         u = g.leaf(residual.u[l], trainable=True, name=f"u{l}")
         s = g.leaf(residual.sigma[l], trainable=True, name=f"sigma{l}")
         v = g.leaf(residual.v[l], trainable=True, name=f"v{l}")
-        w_res = g.matmul(g.matmul(u, g.diag_embed(s)), g.transpose(v))
+        w_res = g.factor_product(u, s, v)
         if prefix is not None:
             if prefix[l].shape != g.value(w_res).shape:
                 raise ShapeError(

@@ -191,16 +191,22 @@ def rank_k_approx(f: SvdFactors, k: int) -> np.ndarray:
     r = f.rank
     if not 1 <= k <= r:
         raise ValueError(f"k must be in [1, {r}], got {k}")
-    out = _rank_k_f64(f, k)
-    return np.ascontiguousarray(out, dtype=DTYPE)
+    out = dense_weight(*(a.astype(np.float64) for a in (f.u[:, :k], f.sigma[:k], f.v[:, :k])))
+    return np.ascontiguousarray(out, dtype=DTYPE)  # float64 throughout, rounded once
 
 
-def _rank_k_f64(f: SvdFactors, k: int) -> np.ndarray:
-    """Rank-k reconstruction carried out entirely in float64."""
-    u = f.u[:, :k].astype(np.float64)
-    v = f.v[:, :k].astype(np.float64)
-    s = f.sigma[:k].astype(np.float64)
-    return (u * s[None, :]) @ v.T
+def dense_weight(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dense weight ``(U * sigma) V^T`` of one layer's factor columns, at their precision.
+
+    The one formula from factors to weights: extraction, rank-k truncation
+    and the autodiff ``factor_product`` op all evaluate it.
+    """
+    # contiguous copies pin the exact gemm inputs, keeping prefix
+    # extraction bitwise stable after later columns are appended
+    uc = np.ascontiguousarray(u)
+    sc = np.ascontiguousarray(sigma)
+    vc = np.ascontiguousarray(v)
+    return np.ascontiguousarray((uc * sc) @ vc.T)
 
 
 def random_orthonormal(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -50,7 +50,6 @@ class TrainConfig:
     mode: str = "full"
     seed: int = 0
     min_rank: int = 1
-    prune_rule: str = "energy_ratio"
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -68,10 +67,10 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         reg.LossWeights(self.lambda_orth, self.lambda_sparse)  # validates
-        cp.PruneConfig(self.energy_e, self.min_rank, self.prune_rule)  # validates
+        self.prune_config()  # validates
 
     def prune_config(self) -> cp.PruneConfig:
-        return cp.PruneConfig(self.energy_e, self.min_rank, self.prune_rule)
+        return cp.PruneConfig(self.energy_e, self.min_rank)
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:

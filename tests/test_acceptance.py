@@ -204,14 +204,8 @@ def _op_graph(op: str, rng):
         loss = g.frobenius_norm(g.scale(leaf((4, 2)), float(rng.uniform(0.3, 2.0))))
     elif op == "transpose":
         loss = g.frobenius_norm(g.matmul(g.transpose(leaf((3, 4))), leaf((3, 2))))
-    elif op == "diag_embed":
-        s = g.leaf(np.abs(rng.normal(size=3)).astype(np.float32) + 0.3, trainable=True)
-        loss = g.frobenius_norm(g.matmul(leaf((4, 3)), g.diag_embed(s)))
     elif op == "relu":
         loss = g.frobenius_norm(g.relu(leaf((4, 4), floor=0.3)))
-    elif op == "div":
-        den = g.leaf((np.abs(rng.normal(size=5)) + 1.0).astype(np.float32), trainable=True)
-        loss = g.l1_norm(g.div(leaf((5,), floor=0.3), den))
     elif op == "dropout":
         h = g.dropout(leaf((4, 4), floor=0.3), rate=0.4, seed=int(rng.integers(1e6)), train=True)
         loss = g.frobenius_norm(h)
@@ -222,10 +216,12 @@ def _op_graph(op: str, rng):
     elif op == "softmax_cross_entropy":
         labels = rng.integers(0, 4, size=5)
         loss = g.softmax_cross_entropy(leaf((5, 4), scale=0.5), labels)
-    elif op == "l1_norm":
-        loss = g.l1_norm(leaf((6,), floor=0.3))
-    elif op == "l2_norm":
-        loss = g.l2_norm(leaf((6,), floor=0.3))
+    elif op == "factor_product":
+        loss = g.frobenius_norm(g.factor_product(leaf((4, 3)), leaf((3,)), leaf((5, 3))))
+    elif op == "gram_deviation":
+        loss = g.gram_deviation(leaf((5, 3)))
+    elif op == "hoyer":
+        loss = g.hoyer(leaf((6,), floor=0.3))
     elif op == "frobenius_norm":
         loss = g.frobenius_norm(leaf((3, 5), floor=0.3))
     elif op == "conv2d":

@@ -131,7 +131,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         g.transpose(g.leaf(np.ones(3, dtype=np.float32)))
     with pytest.raises(ShapeError):
-        g.diag_embed(a)
+        g.factor_product(a, g.leaf(np.ones(2, dtype=np.float32)), b)
     with pytest.raises(ShapeError):
         g.conv2d(a, g.leaf(np.ones((1, 3, 5, 5), dtype=np.float32)), kernel=(3, 3, 3))
     with pytest.raises(ShapeError):
@@ -164,7 +164,7 @@ def test_frozen_leaf_excluded_and_unchanged():
     frozen_value = rng_array((3, 3), seed=8)
     frozen = g.leaf(frozen_value, trainable=False)
     train = g.leaf(rng_array((3, 3), seed=9), trainable=True)
-    loss = g.frobenius_norm(g.add(g.matmul(frozen, train), g.constant(np.float32(0.1))))
+    loss = g.frobenius_norm(g.add(g.matmul(frozen, train), g.leaf(np.float32(0.1))))
     grads = g.backward(loss)
     assert train in grads and frozen not in grads
     np.testing.assert_array_equal(g.value(frozen), frozen_value)
@@ -237,7 +237,33 @@ def test_full_mode_step_unfolds_each_layer_once(monkeypatch):
     assert calls == {"im2col": spec.num_layers, "col2im": spec.num_layers - 1}
 
 
+def test_full_mode_step_builds_forty_tape_nodes(monkeypatch):
+    spec = fz.NetworkSpec.build((3, 3), in_channels=2, input_hw=(4, 4))
+    data = generate_stream(TaskStreamSpec(
+        kind="synthetic_blobs", tasks=1, classes_per_task=2, samples_per_class=4,
+        input_shape=(2, 4, 4), seed=0,
+    ))[0]
+    cfg = tr.TrainConfig(epochs=1, batch_size=data.train_x.shape[0], lr_drop_epochs=())
+    space, _ = tr.run_continual([data], spec, cfg)
+    fresh, head = fz.expand(spec, 2, seed=0, classes=data.classes)
+    sizes = []
+    backward = ad.Graph.backward
+
+    def counting(self, loss):
+        sizes.append(len(self.nodes))
+        return backward(self, loss)
+
+    monkeypatch.setattr(ad.Graph, "backward", counting)
+    tr.train_task(data, space, fresh, head, cfg)  # one step against a non-empty prefix
+    # per layer: 6 to compose the weight (3 factor leaves, factor_product, prefix
+    # leaf, add), 2 for conv and relu, 4 for its orthogonality term and 1 for
+    # its Hoyer term; 4 around the conv stack, 4 for the head and loss, and
+    # 6 to sum, weight and add the two penalties
+    assert sizes == [2 * (6 + 2 + 4 + 1) + 4 + 4 + 6]
+
+
 def test_training_prefix_matches_the_three_leaf_graph():
+    # the prefix a task trains against is bitwise the factor_product of its leaves
     rng = np.random.default_rng(7)
     spec = fz.NetworkSpec.build((3, 4), in_channels=2, input_hw=(5, 5))
     space = fz.empty_space(spec)
@@ -257,7 +283,7 @@ def test_training_prefix_matches_the_three_leaf_graph():
             u = g.leaf(np.ascontiguousarray(space.u[l][:, lo:hi]))
             s = g.leaf(np.ascontiguousarray(space.sigma[l][lo:hi]))
             v = g.leaf(np.ascontiguousarray(space.v[l][:, lo:hi]))
-            graph_prefix = g.value(g.matmul(g.matmul(u, g.diag_embed(s)), g.transpose(v)))
+            graph_prefix = g.value(g.factor_product(u, s, v))
             assert prefix.dtype == graph_prefix.dtype and prefix.shape == graph_prefix.shape
             assert prefix.tobytes() == graph_prefix.tobytes()
 
@@ -288,14 +314,6 @@ def test_fd_matmul_add_scale():
     check(g, loss)
 
 
-def test_fd_transpose_diag_embed():
-    g = ad.Graph()
-    s = g.leaf(np.array([1.5, 0.7, 0.3], dtype=np.float32), trainable=True, name="s")
-    u = g.leaf(rng_array((4, 3), seed=13), trainable=True, name="u")
-    loss = g.frobenius_norm(g.matmul(u, g.transpose(g.diag_embed(s))))
-    check(g, loss)
-
-
 def test_fd_transpose_4d_axes():
     g = ad.Graph()
     x = g.leaf(rng_array((2, 3, 4, 5), seed=27), trainable=True, name="x")
@@ -319,20 +337,60 @@ def test_fd_relu_away_from_kink():
     check(g, loss)
 
 
-def test_fd_div():
+def test_fd_factor_product():
     g = ad.Graph()
-    num = g.leaf(rng_array((4,), seed=15), trainable=True, name="num")
-    den = g.leaf(np.abs(rng_array((4,), seed=16)) + 1.0, trainable=True, name="den")
-    loss = g.l1_norm(g.div(num, den))
-    check(g, loss)
+    u = g.leaf(rng_array((4, 3), seed=13), trainable=True, name="u")
+    s = g.leaf(np.array([1.5, -0.7, 0.3], dtype=np.float32), trainable=True, name="s")
+    v = g.leaf(rng_array((5, 3), seed=15), trainable=True, name="v")
+    w = g.factor_product(u, s, v)
+    assert g.value(w).shape == (4, 5)
+    np.testing.assert_allclose(
+        g.value(w), g.value(u) @ np.diag(g.value(s)) @ g.value(v).T, rtol=1e-6, atol=1e-6
+    )
+    check(g, g.frobenius_norm(w))
 
 
-def test_fd_norms_away_from_zero():
+def test_fd_gram_deviation():
     g = ad.Graph()
-    x = g.leaf(np.abs(rng_array((6,), seed=17)) + 0.5, trainable=True, name="x")
-    y = g.leaf(np.abs(rng_array((3, 3), seed=18)) + 0.5, trainable=True, name="y")
-    loss = g.add(g.add(g.l1_norm(x), g.l2_norm(x)), g.frobenius_norm(y))
-    check(g, loss)
+    x = g.leaf(rng_array((5, 3), seed=16), trainable=True, name="x")
+    dev = g.gram_deviation(x)
+    xv = g.value(x).astype(np.float64)
+    assert abs(float(g.value(dev)) - np.linalg.norm(xv.T @ xv - np.eye(3))) < 1e-5
+    check(g, dev)
+    with pytest.raises(ShapeError):
+        g.gram_deviation(g.leaf(np.ones(3, dtype=np.float32)))
+
+
+def test_fd_hoyer():
+    g = ad.Graph()
+    s = g.leaf(np.array([1.2, -0.6, 0.4, 0.9], dtype=np.float32), trainable=True, name="s")
+    ratio = g.hoyer(s)
+    assert abs(float(g.value(ratio)) - 3.1 / math.sqrt(2.77)) < 1e-6
+    check(g, ratio)
+    with pytest.raises(ShapeError):
+        g.hoyer(g.leaf(np.ones((2, 2), dtype=np.float32)))
+
+
+def test_gram_deviation_kink_has_zero_gradient():
+    # orthonormal columns whose XᵀX − I is exactly 0 in float32
+    eye = np.eye(5, 3, dtype=np.float32)
+    signed_permutation = -np.ascontiguousarray(eye[::-1])
+    for x_value in (eye, signed_permutation):
+        g = ad.Graph()
+        x = g.leaf(x_value, trainable=True)
+        dev = g.gram_deviation(x)
+        assert float(g.value(dev)) == 0.0
+        grad = g.backward(dev)[x]
+        assert np.all(np.isfinite(grad)) and not grad.any()
+
+
+def test_hoyer_of_zero_sigma_has_zero_gradient():
+    g = ad.Graph()
+    s = g.leaf(np.zeros(4, dtype=np.float32), trainable=True)
+    ratio = g.hoyer(s)
+    assert float(g.value(ratio)) == 0.0
+    grad = g.backward(ratio)[s]
+    assert np.all(np.isfinite(grad)) and not grad.any()
 
 
 def test_fd_linear_softmax_ce():
@@ -360,22 +418,42 @@ def test_fd_dropout_fixed_mask():
     check(g, loss)
 
 
-def test_fd_composed_factorized_conv_net():
-    # weight assembled as frozen U S V^T plus trainable U S V^T, then conv + head
-    rng = np.random.default_rng(25)
+# A finite-difference probe of step 1e-3 on one factor entry moves a conv
+# pre-activation by up to a few 1e-3; a unit nearer the ReLU kink than this
+# can cross it mid-probe, and the check then measures the kink, not the rule.
+KINK_MARGIN = 5e-3
+
+
+def _composed_conv_graph(seed):
+    """Frozen prefix plus trainable factor_product weight, then conv, relu and head.
+
+    Returns the graph, its loss and the smallest |ReLU pre-activation|.
+    """
+    rng = np.random.default_rng(seed)
     g = ad.Graph()
     c, nhw, r = 4, 2 * 3 * 3, 3
     frozen = g.leaf(rng.normal(size=(c, nhw)).astype(np.float32) * 0.2)
     u = g.leaf(rng.normal(size=(c, r)).astype(np.float32) * 0.4, trainable=True, name="u")
     s = g.leaf(np.abs(rng.normal(size=r)).astype(np.float32) + 0.3, trainable=True, name="s")
     v = g.leaf(rng.normal(size=(nhw, r)).astype(np.float32) * 0.4, trainable=True, name="v")
-    w = g.add(frozen, g.matmul(g.matmul(u, g.diag_embed(s)), g.transpose(v)))
+    w = g.add(frozen, g.factor_product(u, s, v))
     x = g.leaf(channel_major(rng.normal(size=(4, 2, 5, 5)).astype(np.float32) * 0.5))
-    feat = g.relu(g.conv2d(w, x, kernel=(2, 3, 3), padding=1))
+    pre = g.conv2d(w, x, kernel=(2, 3, 3), padding=1)
+    feat = g.relu(pre)
     flat = g.reshape(g.transpose(feat, (1, 0, 2, 3)), (4, c * 5 * 5))
     hw = g.leaf(rng.normal(size=(c * 5 * 5, 3)).astype(np.float32) * 0.1, trainable=True, name="head_w")
     hb = g.leaf(np.zeros(3, dtype=np.float32), trainable=True, name="head_b")
     loss = g.softmax_cross_entropy(g.linear(flat, hw, hb), np.array([0, 1, 2, 0]))
+    return g, loss, float(np.abs(g.value(pre)).min())
+
+
+def test_fd_composed_factorized_conv_net():
+    # resample draws with a pre-activation inside the margin, then check the first clear one
+    for seed in range(25, 525):
+        g, loss, margin = _composed_conv_graph(seed)
+        if margin >= KINK_MARGIN:
+            break
+    assert margin >= KINK_MARGIN, f"no draw clears the kink margin; closest {margin:.2e}"
     check(g, loss, max_entries=15)
 
 

@@ -164,6 +164,45 @@ def test_inconsistent_geometry_rejected():
         ck.space_from_bytes(bytes(blob))
 
 
+def _zero_rank_file(layers) -> bytes:
+    """A one-task ``.cacl`` of 1x1 input, stride 1, padding 0, rank 0 and one class.
+
+    Its size does not grow with the layers' dense ``c * q``.
+    """
+    head_dim = layers[-1][0]
+    out = bytearray(ck.MAGIC)
+    out += struct.pack("<3I", ck.VERSION, 0, len(layers))
+    for dims in layers:
+        out += struct.pack("<4I", *dims)
+    out += struct.pack(f"<{2 * len(layers)}I", *(1, 0) * len(layers))
+    out += struct.pack("<3I", 1, 1, head_dim)
+    out += struct.pack("<I", 1)  # one task
+    out += struct.pack(f"<{len(layers)}I", *(0,) * len(layers))  # of rank 0
+    out += struct.pack("<2I", 4 * (1 + head_dim + 1), 1) + bytes(4 * (head_dim + 1))
+    return bytes(out)
+
+
+def test_dense_geometry_up_to_the_cap_loads():
+    # 104 bytes that serve as 1024x1024 and 1x1024 dense weights
+    blob = _zero_rank_file([(1024, 1024, 1, 1), (1, 1024, 1, 1)])
+    assert len(blob) == 104
+    assert ck.space_from_bytes(blob).rank_table == ((0,), (0,))
+    at_cap = ck.space_from_bytes(_zero_rank_file([(1, ck.MAX_DENSE_WEIGHTS, 1, 1)]))
+    assert at_cap.spec.layers[0].q == ck.MAX_DENSE_WEIGHTS
+
+
+@pytest.mark.parametrize("layers, offset", [
+    ([(1, ck.MAX_DENSE_WEIGHTS + 1, 1, 1)], 16),
+    ([(65535, 65535, 1, 1), (1, 65535, 1, 1)], 16),
+    ([(1024, 1024, 1, 1), (16384, 1024, 1, 1)], 32),  # the sum over layers counts
+])
+def test_dense_geometry_over_the_cap_rejected_at_its_layer(layers, offset):
+    # only parsed: serving these would allocate up to 17 GB of dense weights
+    with pytest.raises(FormatError) as err:
+        ck.space_from_bytes(_zero_rank_file(layers))
+    assert err.value.offset == offset
+
+
 # -- npz artifacts ----------------------------------------------------------------------
 
 

@@ -124,15 +124,6 @@ def test_prune_config_validation():
         cp.PruneConfig(energy_e=-0.1)
     with pytest.raises(ValueError):
         cp.PruneConfig(energy_e=0.1, min_rank=0)
-    with pytest.raises(ValueError):
-        cp.PruneConfig(energy_e=0.1, rule="nope")
-
-
-def test_tail_rule_differs_where_expected():
-    # (1, 1) at e = 0.5: ratio rule keeps 1; tail rule needs tail <= e * retained
-    s = np.array([1.0, 1.0], np.float32)
-    assert cp.retained_rank(s, cp.PruneConfig(0.5, rule="energy_ratio")) == 1
-    assert cp.retained_rank(s, cp.PruneConfig(0.5, rule="tail_vs_retained")) == 2
 
 
 @given(

@@ -46,7 +46,7 @@ def test_expansion_param_count_below_dense():
     r = shape.expansion_rank()
     factorized = shape.c * r + shape.q * r + r
     assert factorized == 36537
-    assert factorized <= shape.dense_params == 36864
+    assert factorized <= shape.c * shape.q == 36864
 
 
 def test_network_spec_channel_mismatch():

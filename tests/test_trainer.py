@@ -266,7 +266,7 @@ def test_baseline_ub_returns_dense_models():
     assert isinstance(models, tr.DenseTaskModels)
     assert models.num_tasks == 2
     assert report.rank_allocation == []
-    dense = sum(s.dense_params for s in SPEC.layers)
+    dense = sum(s.c * s.q for s in SPEC.layers)
     heads = sum(h.param_count for h in models.heads)
     assert models.param_count() == 2 * dense + heads
 
