@@ -10,6 +10,16 @@ and so does any node with an input that does.  ``backward`` visits only
 those nodes, so a frozen subgraph (the composed shared prefix, the data
 batch) is not visited at all and never receives a contribution.
 
+A tape whose shape does not change is built once and re-run.
+:meth:`Graph.feed` replaces a per-step input (a leaf's value, a loss
+node's labels, a dropout node's seed) after the same checks building
+the node made, and :meth:`Graph.rerun` re-evaluates every op node in
+tape order with the same forward formulas, so a re-run tape holds the
+values and gradients a fresh build would, bit for bit.  A forward that computes an
+intermediate its backward needs saves it in the node's ``aux``: ``conv2d``
+its im2col columns, ``gram_deviation`` its residual ``XᵀX − I``.  Building,
+re-running and replaying share one per-node evaluation.
+
 Convolutions keep activations channel-major, ``(C, N, H, W)``: channel
 first, then batch.  ``im2col`` and ``col2im``, ``conv2d_forward`` and the
 ``conv2d`` op all take and return that layout, so a convolution's output
@@ -29,7 +39,7 @@ That is what :func:`grad_check` uses: analytic float32 gradients are
 compared against central finite differences evaluated by replaying the
 graph in float64.
 
-A graph is owned by one thread while it is being built and
+A graph is owned by one thread while it is being built, re-run and
 differentiated; independent graphs never share state.
 """
 
@@ -115,12 +125,15 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
 
 def gram_deviation(x: np.ndarray):
     """``‖XᵀX − I‖_F`` of a 2-D ``x`` at its precision; the ``gram_deviation`` forward."""
-    return _f_frobenius([_gram_residual(x)], None)
+    return _gram_deviation([x], None)[0]
 
 
-def _gram_residual(x: np.ndarray) -> np.ndarray:
+def _gram_deviation(v, aux):
+    """The gram_deviation forward and the residual ``D = XᵀX − I`` its backward reads."""
+    x = v[0]
     # a contiguous copy of Xᵀ pins the gemm operands, and so the bits of XᵀX
-    return np.ascontiguousarray(x.T) @ x - np.eye(x.shape[1], dtype=x.dtype)
+    residual = np.ascontiguousarray(x.T) @ x - np.eye(x.shape[1], dtype=x.dtype)
+    return _f_frobenius([residual], None), {"residual": residual}
 
 
 def hoyer(s: np.ndarray, eps: float):
@@ -190,23 +203,24 @@ def _f_softmax_ce(v, aux):
     return (lse - z[np.arange(logits.shape[0]), labels]).mean()
 
 
-def _conv2d(w, x, aux):
+def _conv2d(v, aux):
     """The one conv forward formula: the output and the im2col columns it used.
 
     ``x`` and the output are channel-major, so the output is the gemm
     result ``(c_out, N*Ho*Wo)`` reshaped, without a copy.
     """
+    w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     n_im = x.shape[1]
     out_h, out_w = conv_output_size(x.shape[2], x.shape[3], kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
     out = (w @ cols).reshape(w.shape[0], n_im, out_h, out_w)
-    return out, cols
+    return out, {"cols": cols}
 
 
 def _f_conv2d(v, aux):
-    return _conv2d(v[0], v[1], aux)[0]
+    return _conv2d(v, aux)[0]
 
 
 def _f_dropout(v, aux):
@@ -215,6 +229,41 @@ def _f_dropout(v, aux):
         return v[0].copy()
     return v[0] * mask.astype(v[0].dtype)
 
+
+def _dropout_mask(shape: tuple[int, ...], rate: float, seed: int) -> np.ndarray | None:
+    """Inverted-dropout mask drawn from ``seed``; None when nothing is dropped."""
+    if rate == 0.0:
+        return None
+    keep = np.random.default_rng(seed).random(shape) >= rate
+    return (keep / (1.0 - rate)).astype(DTYPE)
+
+
+def _checked_labels(logits_shape: tuple[int, ...], labels) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (logits_shape[0],) or not np.issubdtype(labels.dtype, np.integer):
+        raise DataError("labels must be an integer vector matching the batch")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits_shape[1]:
+        raise DataError(
+            f"labels must lie in [0, {logits_shape[1]}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    return labels
+
+
+def _leaf_array(value) -> np.ndarray:
+    arr = np.asarray(value, dtype=DTYPE)
+    if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
+        arr = np.ascontiguousarray(arr)
+    return arr
+
+
+# Ops whose backward reads an intermediate of the forward: a forward that
+# returns the value and those intermediates, which the tape keeps in the
+# node's aux.  A replay at another precision needs only the value.
+_SAVING = {
+    "conv2d": _conv2d,
+    "gram_deviation": _gram_deviation,
+}
 
 _FORWARD = {
     "matmul": _f_matmul,
@@ -232,6 +281,16 @@ _FORWARD = {
     "conv2d": _f_conv2d,
     "dropout": _f_dropout,
 }
+
+
+def _node_forward(op: str, inputs: list, aux: dict, save: bool):
+    """One node's forward value; with ``save``, what its backward reads goes into ``aux``."""
+    saving = _SAVING.get(op) if save else None
+    if saving is None:
+        return _FORWARD[op](inputs, aux)
+    value, saved = saving(inputs, aux)
+    aux.update(saved)
+    return value
 
 
 # --- per-op vector-Jacobian products: grad list, one entry per input ---
@@ -279,8 +338,7 @@ def _b_factor_product(g, v, out, aux):
 
 def _b_gram_deviation(g, v, out, aux):
     # 2·X·(d‖D‖/dD) for the symmetric D = XᵀX − I, so 0 at the kink D = 0
-    x = v[0]
-    return [2 * (x @ _b_frobenius(g, [_gram_residual(x)], out, aux)[0])]
+    return [2 * (v[0] @ _b_frobenius(g, [aux["residual"]], out, aux)[0])]
 
 
 def _b_hoyer(g, v, out, aux):
@@ -306,7 +364,6 @@ def _b_softmax_ce(g, v, out, aux):
 
 
 def _b_conv2d(g, v, out, aux):
-    # the forward columns come from Graph.conv2d; only backward reads them
     w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
@@ -366,8 +423,7 @@ class Graph:
 
     def _apply(self, op: str, inputs: tuple[int, ...], aux: dict | None = None) -> int:
         aux = aux or {}
-        values = [self.nodes[i].value for i in inputs]
-        value = _FORWARD[op](values, aux)
+        value = _node_forward(op, [self.nodes[i].value for i in inputs], aux, save=True)
         return self._append(Node(op=op, inputs=inputs, value=value, aux=aux,
                                  needs_grad=self._any_needs_grad(inputs)))
 
@@ -380,12 +436,9 @@ class Graph:
     # -- leaves ------------------------------------------------------------
 
     def leaf(self, value, trainable: bool = False, name: str | None = None) -> int:
-        arr = np.asarray(value, dtype=DTYPE)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
         return self._append(
-            Node(op="leaf", inputs=(), value=arr, trainable=trainable, name=name,
-                 needs_grad=trainable)
+            Node(op="leaf", inputs=(), value=_leaf_array(value), trainable=trainable,
+                 name=name, needs_grad=trainable)
         )
 
     # -- ops ---------------------------------------------------------------
@@ -461,17 +514,10 @@ class Graph:
 
     def softmax_cross_entropy(self, logits: int, labels) -> int:
         v = self.nodes[logits].value
-        labels = np.asarray(labels)
         if v.ndim != 2:
             raise ShapeError("softmax_cross_entropy expects (batch, classes) logits")
-        if labels.shape != (v.shape[0],) or not np.issubdtype(labels.dtype, np.integer):
-            raise DataError("labels must be an integer vector matching the batch")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= v.shape[1]:
-            raise DataError(
-                f"labels must lie in [0, {v.shape[1]}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
-        return self._apply("softmax_cross_entropy", (logits,), {"labels": labels})
+        return self._apply("softmax_cross_entropy", (logits,),
+                           {"labels": _checked_labels(v.shape, labels)})
 
     def conv2d(self, weight: int, x: int, kernel: tuple[int, int, int], stride: int = 1, padding: int = 0) -> int:
         """Convolve channel-major ``x`` ``(C, N, H, W)``; the output is ``(c, N, Ho, Wo)``."""
@@ -484,22 +530,60 @@ class Graph:
         out_h, out_w = conv_output_size(vx.shape[2], vx.shape[3], kh, kw, stride, padding)
         if out_h < 1 or out_w < 1:
             raise ShapeError(f"conv2d: input {vx.shape[2:]} too small for kernel {kernel}")
-        aux = {"kernel": (c_in, kh, kw), "stride": int(stride), "padding": int(padding)}
-        value, cols = _conv2d(vw, vx, aux)
-        aux["cols"] = cols
-        aux["x_needs_grad"] = self.nodes[x].needs_grad
-        return self._append(Node(op="conv2d", inputs=(weight, x), value=value, aux=aux,
-                                 needs_grad=self._any_needs_grad((weight, x))))
+        aux = {"kernel": (c_in, kh, kw), "stride": int(stride), "padding": int(padding),
+               "x_needs_grad": self.nodes[x].needs_grad}
+        return self._apply("conv2d", (weight, x), aux)
 
     def dropout(self, a: int, rate: float, seed: int, train: bool) -> int:
+        """Inverted dropout with a mask drawn from ``seed``; the identity unless ``train``."""
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        mask = None
-        if train and rate > 0.0:
-            rng = np.random.default_rng(seed)
-            keep = rng.random(self.nodes[a].value.shape) >= rate
-            mask = (keep / (1.0 - rate)).astype(DTYPE)
-        return self._apply("dropout", (a,), {"mask": mask})
+        rate = rate if train else 0.0
+        mask = _dropout_mask(self.nodes[a].value.shape, rate, seed)
+        return self._apply("dropout", (a,), {"rate": rate, "seed": seed, "mask": mask})
+
+    # -- re-running ---------------------------------------------------------
+
+    def feed(self, nid: int, value) -> None:
+        """Replace a per-step input of the recorded tape; :meth:`rerun` then uses it.
+
+        A leaf takes a new value of its recorded shape, a
+        ``softmax_cross_entropy`` node new labels, and a dropout node a new
+        seed, from which it draws its mask.  Each is checked as building the
+        node checked it: :class:`ShapeError` for a leaf of another shape,
+        :class:`DataError` for labels that do not fit the logits.
+        """
+        node = self.nodes[nid]
+        if node.op == "leaf":
+            arr = _leaf_array(value)
+            if arr.shape != node.value.shape:
+                raise ShapeError(f"feed: leaf {nid} holds {node.value.shape}, got {arr.shape}")
+            node.value = arr
+        elif node.op == "softmax_cross_entropy":
+            logits = self.nodes[node.inputs[0]].value
+            node.aux["labels"] = _checked_labels(logits.shape, value)
+        elif node.op == "dropout":
+            node.aux["seed"] = value
+            node.aux["mask"] = _dropout_mask(node.value.shape, node.aux["rate"], value)
+        else:
+            raise ValueError(f"a {node.op} node has no fed input")
+
+    def rerun(self) -> None:
+        """Re-evaluate every op node in tape order from the current leaves and fed inputs."""
+        # the old op values are dropped first, as a fresh build would find them gone
+        values = [node.value if node.op == "leaf" else None for node in self.nodes]
+        for node in self.nodes:
+            node.value = None
+        self._forward(range(len(values)), values, save=True)
+        for node, value in zip(self.nodes, values):
+            node.value = value
+
+    def _forward(self, order, values, save: bool) -> None:
+        """Fill ``values[nid]`` for the op nodes of ``order``; leaves are already in it."""
+        for nid in order:
+            node = self.nodes[nid]
+            if node.op != "leaf":
+                values[nid] = _node_forward(node.op, [values[i] for i in node.inputs], node.aux, save)
 
     # -- differentiation ----------------------------------------------------
 
@@ -548,16 +632,10 @@ class Graph:
     ) -> np.ndarray:
         """Recompute ``target``'s value with substituted leaves at ``dtype``."""
         order = order if order is not None else self._ancestors(target)
-        vals: dict[int, np.ndarray] = {}
-        for nid in order:
-            node = self.nodes[nid]
-            if node.op == "leaf":
-                base = node.value
-                if overrides and nid in overrides:
-                    base = overrides[nid]
-                vals[nid] = np.asarray(base, dtype=dtype)
-            else:
-                vals[nid] = _FORWARD[node.op]([vals[i] for i in node.inputs], node.aux)
+        overrides = overrides or {}
+        vals = {nid: np.asarray(overrides.get(nid, self.nodes[nid].value), dtype=dtype)
+                for nid in order if self.nodes[nid].op == "leaf"}
+        self._forward(order, vals, save=False)
         return vals[target]
 
 

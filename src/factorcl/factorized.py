@@ -325,9 +325,9 @@ def graph_forward(
     ``x_node`` is batch-major ``(N, C, H, W)`` and the result is
     ``(N, head_input_dim)``.  In between, activations are channel-major
     ``(C, N, H, W)``: one transpose on entry and one before the flatten.
-    Dropout draws its mask over that channel-major shape, so a seeded
-    dropout run draws its mask in a different element order than over a
-    batch-major activation.
+    Layer l's dropout node draws its mask from ``dropout_seed + l``, over
+    that channel-major shape, so a seeded dropout run draws its mask in a
+    different element order than over a batch-major activation.
     """
     batch = g.value(x_node).shape[0]
     h = g.transpose(x_node, (1, 0, 2, 3))

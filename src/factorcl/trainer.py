@@ -14,6 +14,13 @@ orthogonality term reads only the U and V leaves and the Hoyer term
 only the sigma leaves, so neither adds to the other group's gradient,
 and the pass sums each leaf's remaining contributions in the same
 reverse-tape order as a pass over that group's own loss would.
+
+A step's tape has one shape for every batch of a size, so a task builds
+it once per batch size and re-runs it for later steps, feeding in the
+parameters, the batch, its labels and the dropout seed; the result is
+bitwise that of a fresh tape per step.  Adam keeps the parameters,
+moments and gradient in flat buffers, so its update is one vectorized
+formula over all of them.
 """
 
 from __future__ import annotations
@@ -79,7 +86,16 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 
 class Adam:
-    """Adaptive-moment descent over a dict of named float32 parameters."""
+    """Adaptive-moment descent over a dict of named float32 parameters.
+
+    The parameters, the two moments and the gradient live in three flat
+    float32 buffers: ``flat``, ``moments`` (one row per moment) and
+    ``grad``.  Construction copies every ``params[key]`` into ``flat`` and
+    re-binds the entry to its view there, so one vectorized update serves
+    all keys and reaches the caller's dict in place.  ``step`` takes that
+    dict and a gradient for every key; each element gets the same formula,
+    at the same precision, as a per-key loop would give it.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -87,17 +103,34 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        total = sum(p.size for p in params.values())
+        self.flat = np.empty(total, dtype=ad.DTYPE)
+        self.grad = np.empty(total, dtype=ad.DTYPE)
+        self.moments = np.zeros((2, total), dtype=ad.DTYPE)
+        self._grads: dict[str, np.ndarray] = {}  # key -> its view into self.grad
+        start = 0
+        for key, p in params.items():
+            stop = start + p.size
+            params[key] = self.flat[start:stop].reshape(p.shape)
+            params[key][...] = p
+            self._grads[key] = self.grad[start:stop].reshape(p.shape)
+            start = stop
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+        if grads.keys() != self._grads.keys():
+            raise KeyError(f"Adam.step needs a gradient for each of {sorted(self._grads)}, "
+                           f"got {sorted(grads)}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        for key, grad in grads.items():
-            m = self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
-            v = self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad * grad
-            params[key] -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for key, view in self._grads.items():
+            view[...] = grads[key]
+        grad, (m, v) = self.grad, self.moments
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        self.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def _epoch_order(cfg: TrainConfig, task: int, epoch: int, n: int) -> np.ndarray:
@@ -113,6 +146,50 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
+class _StepTape:
+    """One training step's tape for one batch size: built once, then re-run.
+
+    The first step builds the tape with its batch; every later step of
+    that size feeds the values that change (the parameters, the batch,
+    its labels and the dropout seed) and re-runs it, so the tape's shape
+    and every check made while building it stay as they were built.
+    """
+
+    def __init__(self, spec: fz.NetworkSpec, params: dict[str, np.ndarray], build,
+                 x: np.ndarray, y: np.ndarray, seed: int):
+        g = self.graph = ad.Graph()
+        weights, penalties = build(g)
+        self.x = g.leaf(x)
+        feats = fz.graph_forward(g, weights, spec, self.x, train=True, dropout_seed=seed)
+        hw = g.leaf(params["head_w"], trainable=True, name="head_w")
+        hb = g.leaf(params["head_b"], trainable=True, name="head_b")
+        self.task_loss = self.loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
+        for term in penalties():
+            self.loss = g.add(self.loss, term)
+        nodes = list(enumerate(g.nodes))
+        self.params = [(nid, node.name) for nid, node in nodes if node.trainable]
+        # each dropout node's seed is the step's seed plus a fixed offset
+        self.dropout = [(nid, node.aux["seed"] - seed) for nid, node in nodes
+                        if node.op == "dropout"]
+
+    def run(self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, seed: int):
+        g = self.graph
+        for nid, key in self.params:
+            g.feed(nid, params[key])
+        g.feed(self.x, x)
+        g.feed(self.task_loss, y)
+        for nid, offset in self.dropout:
+            g.feed(nid, seed + offset)
+        g.rerun()
+
+    def objective(self) -> float:
+        return float(self.graph.value(self.loss))
+
+    def grads(self) -> dict[str, np.ndarray]:
+        g = self.graph
+        return {g.nodes[nid].name: d for nid, d in g.backward(self.loss).items()}
+
+
 def _fit(
     data: TaskDataset,
     spec: fz.NetworkSpec,
@@ -123,37 +200,40 @@ def _fit(
 ) -> None:
     """The minibatch loop behind both trainers; updates ``params`` in place.
 
-    ``build(g)`` puts one step's conv weights on the tape and returns
+    ``build(g)`` puts the conv weights on the tape and returns
     ``(weights, penalties)``: the weight nodes and ``penalties()``, which
-    returns the weighted regularizer nodes.  The loop calls ``penalties``
+    returns the weighted regularizer nodes.  The tape calls ``penalties``
     after building the task loss, so the regularizers follow it on the tape.
     Leaf names are the keys: every trainable leaf is named by its key in
-    ``params``, and its gradient updates that entry.
+    ``params``, and its gradient updates that entry.  ``build`` runs once
+    per batch size, so at most twice a task: once for full batches and
+    once for a short last batch.  While training, each entry is a view
+    into Adam's parameter buffer; at the end it is an array of its own.
     """
     adam = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
     use_dropout = any(r > 0 for r in spec.dropout_rates)
     n = data.train_x.shape[0]
+    tapes: dict[int, _StepTape] = {}
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         order = _epoch_order(cfg, task, epoch, n)
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             x, y = data.train_x[batch], data.train_y[batch]
-            g = ad.Graph()
-            weights, penalties = build(g)
             seed = _dropout_seed(cfg, task, epoch, start) if use_dropout else 0
-            feats = fz.graph_forward(g, weights, spec, g.leaf(x), train=True, dropout_seed=seed)
-            hw = g.leaf(params["head_w"], trainable=True, name="head_w")
-            hb = g.leaf(params["head_b"], trainable=True, name="head_b")
-            loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
-            for term in penalties():
-                loss = g.add(loss, term)
-            if not np.isfinite(float(g.value(loss))):
+            tape = tapes.get(len(batch))
+            if tape is None:
+                tape = tapes[len(batch)] = _StepTape(spec, params, build, x, y, seed)
+            else:
+                tape.run(params, x, y, seed)
+            if not np.isfinite(tape.objective()):
                 raise TrainingError(
                     "non-finite training objective", task=task, epoch=epoch, step=step
                 )
-            grads = {g.nodes[n].name: d for n, d in g.backward(loss).items()}
-            adam.step(params, grads, lr)
+            adam.step(params, tape.grads(), lr)
+    # the trained arrays own their memory instead of viewing Adam's buffer
+    for key, view in params.items():
+        params[key] = view.copy()
 
 
 def train_task(

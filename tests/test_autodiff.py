@@ -302,6 +302,79 @@ def test_determinism_bitwise():
     np.testing.assert_array_equal(ga, gb)
 
 
+# -- re-running a recorded tape -------------------------------------------------
+
+
+def _step_graph(x, labels, seed):
+    """A training-shaped tape: conv, dropout, head, loss and a Gram penalty.
+
+    Returns the graph and the nodes a step feeds and differentiates:
+    ``(g, x leaf, dropout, loss over logits, objective)``.
+    """
+    g = ad.Graph()
+    w = g.leaf(rng_array((3, 2 * 3 * 3), seed=50, scale=0.3), trainable=True, name="w")
+    xl = g.leaf(channel_major(x))
+    conv = g.relu(g.conv2d(w, xl, kernel=(2, 3, 3), padding=1))
+    drop = g.dropout(conv, rate=0.3, seed=seed, train=True)
+    flat = g.reshape(g.transpose(drop, (1, 0, 2, 3)), (x.shape[0], 3 * 4 * 4))
+    hw = g.leaf(rng_array((48, 3), seed=51, scale=0.1), trainable=True, name="hw")
+    hb = g.leaf(np.zeros(3, np.float32), trainable=True, name="hb")
+    ce = g.softmax_cross_entropy(g.linear(flat, hw, hb), labels)
+    return g, xl, drop, ce, g.add(ce, g.gram_deviation(hw))
+
+
+def test_rerun_after_feeding_matches_a_fresh_build_bitwise():
+    first = (rng_array((4, 2, 4, 4), seed=52), np.array([0, 1, 2, 0]), 7)
+    second = (rng_array((4, 2, 4, 4), seed=53), np.array([2, 2, 1, 0]), 8)
+    g, x, drop, ce, loss = _step_graph(*first)
+    first_loss = float(g.value(loss))
+    g.backward(loss)
+    g.feed(x, channel_major(second[0]))
+    g.feed(ce, second[1])
+    g.feed(drop, second[2])
+    g.rerun()
+    fresh, *_ = _step_graph(*second)
+    assert float(g.value(loss)) != first_loss
+    assert len(g.nodes) == len(fresh.nodes)
+    for nid, (a, b) in enumerate(zip(g.nodes, fresh.nodes)):
+        assert a.value.tobytes() == b.value.tobytes(), (nid, a.op)
+    grads, fresh_grads = g.backward(loss), fresh.backward(loss)
+    assert grads.keys() == fresh_grads.keys()
+    for nid, grad in grads.items():
+        assert grad.tobytes() == fresh_grads[nid].tobytes(), g.nodes[nid].name
+
+
+def test_feed_checks_what_building_checked():
+    g, x, drop, ce, loss = _step_graph(rng_array((4, 2, 4, 4), seed=54), np.array([0, 1, 2, 0]), 7)
+    with pytest.raises(ShapeError):
+        g.feed(x, channel_major(rng_array((5, 2, 4, 4), seed=55)))
+    with pytest.raises(DataError):
+        g.feed(ce, np.array([0, 1, 3, 0]))  # three classes
+    with pytest.raises(DataError):
+        g.feed(ce, np.array([0, 1, 2]))
+    with pytest.raises(ValueError):
+        g.feed(loss, 1.0)  # an add node has no fed input
+    # a rejected feed leaves the recorded inputs in place
+    before = g.value(loss).copy()
+    g.rerun()
+    assert g.value(loss).tobytes() == before.tobytes()
+
+
+def test_gram_deviation_backward_reads_the_forward_residual(monkeypatch):
+    calls = []
+    forward = ad._SAVING["gram_deviation"]
+    monkeypatch.setitem(ad._SAVING, "gram_deviation",
+                        lambda v, aux: calls.append(1) or forward(v, aux))
+    g = ad.Graph()
+    x = g.leaf(rng_array((5, 3), seed=56), trainable=True)
+    dev = g.gram_deviation(x)
+    g.backward(dev)
+    assert len(calls) == 1
+    xv = g.value(x)
+    residual = np.ascontiguousarray(xv.T) @ xv - np.eye(3, dtype=np.float32)
+    assert g.nodes[dev].aux["residual"].tobytes() == residual.tobytes()
+
+
 # -- finite-difference checks, one per op ---------------------------------------
 
 

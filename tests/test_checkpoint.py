@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcl import checkpoint as ck
 from factorcl import compression as cp
@@ -220,6 +222,49 @@ def test_non_finite_payload_rejected_at_its_offset(where):
     with pytest.raises(FormatError) as err:
         ck.space_from_bytes(bytes(blob))
     assert err.value.offset == at
+
+
+# -- fuzzing: every mutation of a valid file loads whole or raises FormatError ------
+
+FUZZ_BLOB = ck.space_to_bytes(random_space(
+    seed=5, tasks=2, spec=fz.NetworkSpec.build((2, 3), in_channels=1, input_hw=(2, 2))))
+FUZZ_WORDS = len(FUZZ_BLOB) // 4
+# counts and dimensions live in small u32s; the rest probe the edges
+U32 = st.one_of(st.integers(0, 70), st.integers(0, 2**32 - 1),
+                st.sampled_from([2**31 - 1, 2**31, 2**32 - 1, 0x7F800000, 0xFF800000]))
+
+
+def load_or_reject(blob: bytes) -> None:
+    try:
+        space = ck.space_from_bytes(blob)
+    except FormatError:
+        return
+    arrays = [*space.u, *space.sigma, *space.v, *(a for h in space.heads for a in (h.weight, h.bias))]
+    assert all(np.isfinite(a).all() for a in arrays)
+    assert ck.space_to_bytes(space) == blob
+
+
+def test_fuzz_blob_is_valid():
+    load_or_reject(FUZZ_BLOB)
+    assert ck.space_from_bytes(FUZZ_BLOB).num_tasks == 2
+
+
+@given(bits=st.lists(st.integers(0, 8 * len(FUZZ_BLOB) - 1), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_bit_flips(bits):
+    blob = bytearray(FUZZ_BLOB)
+    for bit in bits:
+        blob[bit // 8] ^= 1 << (bit % 8)
+    load_or_reject(bytes(blob))
+
+
+@given(edits=st.lists(st.tuples(st.integers(0, FUZZ_WORDS - 1), U32), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_u32_field_rewrites(edits):
+    blob = bytearray(FUZZ_BLOB)
+    for word, value in edits:
+        struct.pack_into("<I", blob, 4 * word, value)
+    load_or_reject(bytes(blob))
 
 
 def test_task_factors_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from factorcl import autodiff as ad
 from factorcl import factorized as fz
+from factorcl import regularizers as reg
 from factorcl import trainer as tr
 from factorcl.datasets import TaskStreamSpec, generate_stream
 from factorcl.errors import ConfigError, TrainingError
@@ -71,6 +72,45 @@ def test_adam_decoupled_moments_per_key():
     opt = tr.Adam(params)
     opt.step(params, {"a": np.ones(2, np.float32), "b": np.zeros(3, np.float32)}, lr=0.1)
     assert np.all(params["a"] != 0) and np.all(params["b"] == 0)
+
+
+def reference_adam_step(params, m, v, t, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one key at a time, each key's arrays of their own: the flat buffer's oracle."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for key, grad in grads.items():
+        m[key] = beta1 * m[key] + (1.0 - beta1) * grad
+        v[key] = beta2 * v[key] + (1.0 - beta2) * grad * grad
+        params[key] -= lr * (m[key] / bc1) / (np.sqrt(v[key] / bc2) + eps)
+
+
+def test_flat_adam_matches_the_per_key_update_bitwise():
+    rng = np.random.default_rng(0)
+    shapes = {"u0": (3, 2), "sigma0": (2,), "v0": (5, 2), "head_w": (4, 3), "head_b": (3,)}
+    ref = {k: rng.normal(size=sh).astype(np.float32) for k, sh in shapes.items()}
+    m = {k: np.zeros_like(p) for k, p in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    params = {k: p.copy() for k, p in ref.items()}
+    opt = tr.Adam(params, beta1=0.8, beta2=0.99, eps=1e-6)
+    for t in range(1, 51):
+        grads = {k: (rng.normal(size=sh) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
+                 for k, sh in shapes.items()}
+        lr = float(rng.choice([1e-1, 1e-3, 1e-5]))
+        opt.step(params, grads, lr)
+        reference_adam_step(ref, m, v, t, grads, lr, beta1=0.8, beta2=0.99, eps=1e-6)
+        for key in shapes:
+            assert params[key].tobytes() == ref[key].tobytes(), (t, key)
+    assert opt.step_count == 50
+    # every entry is a view into the one parameter buffer
+    assert all(np.shares_memory(p, opt.flat) for p in params.values())
+
+
+def test_adam_needs_a_gradient_for_every_parameter():
+    params = {"a": np.zeros(2, np.float32), "b": np.zeros(3, np.float32)}
+    opt = tr.Adam(params)
+    with pytest.raises(KeyError):
+        opt.step(params, {"a": np.ones(2, np.float32)}, lr=0.1)
+    assert opt.step_count == 0
 
 
 # -- config validation ---------------------------------------------------------------
@@ -148,6 +188,7 @@ def test_train_task_without_spec_or_shared_rejected():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_non_finite_objective_stops_training():
     # the orthogonality term overflows while the composed weights, and so
     # the task loss, stay finite
@@ -158,6 +199,13 @@ def test_non_finite_objective_stops_training():
     cfg = tiny_cfg(epochs=1, lr_drop_epochs=(), batch_size=data.train_x.shape[0])
     with pytest.raises(TrainingError):
         tr.train_task(data, None, fresh, head, cfg, spec=SPEC)
+
+    # a finite first step whose update blows up: the re-run tape of a
+    # later step carries the check too
+    fresh, head = fz.expand(SPEC, 1, seed=0, classes=data.classes)
+    with pytest.raises(TrainingError) as info:
+        tr.train_task(data, None, fresh, head, tiny_cfg(base_lr=1e30), spec=SPEC)
+    assert (info.value.epoch, info.value.step) == (0, 1)
 
 
 def test_each_trainer_runs_one_backward_pass_per_minibatch(backward_calls):
@@ -170,6 +218,123 @@ def test_each_trainer_runs_one_backward_pass_per_minibatch(backward_calls):
     backward_calls.clear()
     tr.train_dense_task(data, SPEC, cfg, task=1)
     assert len(backward_calls) == steps
+
+
+@pytest.fixture
+def fit_starts(monkeypatch):
+    """A copy of the parameters each ``_fit`` call starts from."""
+    starts = []
+    real = tr._fit
+
+    def spy(data, spec, cfg, task, params, build):
+        starts.append({k: p.copy() for k, p in params.items()})
+        return real(data, spec, cfg, task, params, build)
+
+    monkeypatch.setattr(tr, "_fit", spy)
+    return starts
+
+
+def reference_fit(data, spec, cfg, task, params, build):
+    """A fresh graph for every step and per-key Adam: the oracle for tape reuse."""
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    use_dropout = any(r > 0 for r in spec.dropout_rates)
+    n = data.train_x.shape[0]
+    t = 0
+    for epoch in range(cfg.epochs):
+        lr = tr.lr_schedule(epoch, cfg)
+        order = tr._epoch_order(cfg, task, epoch, n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x, y = data.train_x[batch], data.train_y[batch]
+            g = ad.Graph()
+            weights, penalties = build(g, params)
+            seed = tr._dropout_seed(cfg, task, epoch, start) if use_dropout else 0
+            feats = fz.graph_forward(g, weights, spec, g.leaf(x), train=True, dropout_seed=seed)
+            hw = g.leaf(params["head_w"], trainable=True, name="head_w")
+            hb = g.leaf(params["head_b"], trainable=True, name="head_b")
+            loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
+            for term in penalties():
+                loss = g.add(loss, term)
+            grads = {g.nodes[i].name: d for i, d in g.backward(loss).items()}
+            t += 1
+            reference_adam_step(params, m, v, t, grads, lr, cfg.beta1, cfg.beta2, cfg.eps)
+
+
+def factor_build(spec, prefix, cfg):
+    def build(g, params):
+        layers = range(spec.num_layers)
+        residual = fz.TaskFactors(task=0, u=[params[f"u{l}"] for l in layers],
+                                  sigma=[params[f"sigma{l}"] for l in layers],
+                                  v=[params[f"v{l}"] for l in layers])
+        composed = fz.compose_weights(g, prefix, residual)
+
+        def penalties():
+            orth = reg.l_orth_graph(g, composed.u_leaves, composed.v_leaves)
+            sparse = reg.l_sparse_graph(g, composed.sigma_leaves)
+            return [g.scale(orth, cfg.lambda_orth), g.scale(sparse, cfg.lambda_sparse)]
+
+        return composed.weights, penalties
+
+    return build
+
+
+def dense_build(spec):
+    def build(g, params):
+        return [g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}")
+                for l in range(spec.num_layers)], lambda: []
+
+    return build
+
+
+@pytest.mark.parametrize("case", ["full-prefix", "dense", "dropout", "short-batch"])
+def test_reused_tape_trains_the_bits_of_a_fresh_graph_per_step(case, fit_starts):
+    stream = tiny_stream(tasks=2)
+    data = stream[1]
+    spec = SPEC
+    if case == "dropout":
+        spec = fz.NetworkSpec.build((3, 3), in_channels=2, input_hw=(3, 3), dropout=0.25)
+    cfg = tiny_cfg(epochs=3, lr_drop_epochs=(2,), batch_size=12 if case == "short-batch" else 8)
+    n = data.train_x.shape[0]
+    assert (n % cfg.batch_size != 0) == (case == "short-batch")
+    if case == "dense":
+        weights, head = tr.train_dense_task(data, spec, cfg, task=2)
+        trained = {f"w{l}": w for l, w in enumerate(weights)}
+        build = dense_build(spec)
+    else:
+        shared, prefix = None, None
+        if case != "dropout":  # train against task 1's stored weights
+            shared, _ = tr.run_continual(stream[:1], spec, cfg)
+            prefix = fz.extract_subnetwork(shared, 1)[0]
+            fit_starts.clear()
+        fresh, head = fz.expand(spec, 2, cfg.seed, classes=data.classes)
+        factors, head = tr.train_task(data, shared, fresh, head, cfg, spec=spec)
+        trained = {f"{k}{l}": getattr(factors, k)[l]
+                   for k in ("u", "sigma", "v") for l in range(spec.num_layers)}
+        build = factor_build(spec, prefix, cfg)
+    trained.update(head_w=head.weight, head_b=head.bias)
+    (params,) = fit_starts
+    reference_fit(data, spec, cfg, 2, params, build)
+    assert trained.keys() == params.keys()
+    for key, value in params.items():
+        assert trained[key].tobytes() == value.tobytes(), key
+
+
+def test_a_task_builds_its_tape_once_per_batch_size(monkeypatch):
+    graphs = []
+    real = ad.Graph.__init__
+
+    def counting(g):
+        graphs.append(g)
+        real(g)
+
+    monkeypatch.setattr(ad.Graph, "__init__", counting)
+    stream = tiny_stream(tasks=3)
+    for mode in ("full", "baseline_ub"):
+        graphs.clear()
+        # 32 samples in batches of 12: two full batches and a short one per epoch
+        tr.run_continual(stream, SPEC, tiny_cfg(epochs=3, batch_size=12, mode=mode))
+        assert len(graphs) == 3 * 2, mode
 
 
 def test_each_task_trains_against_the_weights_its_predecessor_serves(monkeypatch):
