@@ -1,24 +1,31 @@
 """Reverse-mode automatic differentiation over a small fixed op set.
 
 The graph is a Wengert tape: every operation appends a node holding the
-op kind, the ids of its input nodes and the cached forward value.  Leaf
-nodes carry parameter arrays and a ``trainable`` flag; frozen leaves
-participate in the forward pass but are never handed a gradient.
+op kind, the ids of its input nodes and the cached forward value.  The
+ops are the ones a training step builds, thirteen in all: ``add`` (of
+equal shapes), ``scale``, ``transpose`` (by explicit axes), ``relu``,
+``reshape``, ``frobenius_norm``, ``factor_product``, ``gram_deviation``,
+``hoyer``, ``linear``, ``softmax_cross_entropy``, ``conv2d`` and
+``dropout`` (training-time only).
 
-Every node records whether it needs a gradient: a trainable leaf does,
-and so does any node with an input that does.  ``backward`` visits only
-those nodes, so a frozen subgraph (the composed shared prefix, the data
-batch) is not visited at all and never receives a contribution.
+Every node records whether it needs a gradient: a leaf built as
+``trainable`` does, and so does any node with an input that does.
+``backward`` visits only those nodes, so a frozen subgraph (the composed
+shared prefix, the data batch) is not visited at all and never receives
+a contribution.  A leaf holds a float32 C-contiguous array as it is, so
+an optimizer that updates that array in place updates the tape.
 
 A tape whose shape does not change is built once and re-run.
-:meth:`Graph.feed` replaces a per-step input (a leaf's value, a loss
-node's labels, a dropout node's seed) after the same checks building
-the node made, and :meth:`Graph.rerun` re-evaluates every op node in
-tape order with the same forward formulas, so a re-run tape holds the
-values and gradients a fresh build would, bit for bit.  A forward that computes an
-intermediate its backward needs saves it in the node's ``aux``: ``conv2d``
-its im2col columns, ``gram_deviation`` its residual ``XᵀX − I``.  Building,
-re-running and replaying share one per-node evaluation.
+:meth:`Graph.feed` replaces a per-step input (a data leaf's value, a
+loss node's labels, a dropout node's seed) after the same checks
+building the node made, and :meth:`Graph.rerun` re-evaluates every op
+node in tape order with the same forward formulas, so a re-run tape
+holds the values and gradients a fresh build would, bit for bit.  Each
+op has one forward: a forward that computes an intermediate its backward
+needs returns it too, and building or re-running saves it in the node's
+``aux``: ``conv2d`` its im2col columns, ``gram_deviation`` its residual
+``XᵀX − I``.  Building, re-running and replaying share one per-node
+evaluation.
 
 Convolutions keep activations channel-major, ``(C, N, H, W)``: channel
 first, then batch.  ``im2col`` and ``col2im``, ``conv2d_forward`` and the
@@ -120,7 +127,7 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
 
     ``x`` is channel-major ``(C, N, H, W)`` and so is the result.
     """
-    return _f_conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding})
+    return _conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding})[0]
 
 
 def gram_deviation(x: np.ndarray):
@@ -141,16 +148,6 @@ def hoyer(s: np.ndarray, eps: float):
     return np.abs(s).sum() / (np.sqrt((s * s).sum()) + s.dtype.type(eps))
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -158,10 +155,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 # --- per-op forward functions: pure in (input values, aux), dtype-agnostic ---
-
-
-def _f_matmul(v, aux):
-    return v[0] @ v[1]
 
 
 def _f_add(v, aux):
@@ -219,21 +212,12 @@ def _conv2d(v, aux):
     return out, {"cols": cols}
 
 
-def _f_conv2d(v, aux):
-    return _conv2d(v, aux)[0]
-
-
 def _f_dropout(v, aux):
-    mask = aux["mask"]
-    if mask is None:
-        return v[0].copy()
-    return v[0] * mask.astype(v[0].dtype)
+    return v[0] * aux["mask"].astype(v[0].dtype)
 
 
-def _dropout_mask(shape: tuple[int, ...], rate: float, seed: int) -> np.ndarray | None:
-    """Inverted-dropout mask drawn from ``seed``; None when nothing is dropped."""
-    if rate == 0.0:
-        return None
+def _dropout_mask(shape: tuple[int, ...], rate: float, seed: int) -> np.ndarray:
+    """Inverted-dropout mask drawn from ``seed``."""
     keep = np.random.default_rng(seed).random(shape) >= rate
     return (keep / (1.0 - rate)).astype(DTYPE)
 
@@ -259,14 +243,14 @@ def _leaf_array(value) -> np.ndarray:
 
 # Ops whose backward reads an intermediate of the forward: a forward that
 # returns the value and those intermediates, which the tape keeps in the
-# node's aux.  A replay at another precision needs only the value.
+# node's aux.  A replay at another precision needs only the value.  Every
+# other op's forward is in _FORWARD.
 _SAVING = {
     "conv2d": _conv2d,
     "gram_deviation": _gram_deviation,
 }
 
 _FORWARD = {
-    "matmul": _f_matmul,
     "add": _f_add,
     "scale": _f_scale,
     "transpose": _f_transpose,
@@ -274,22 +258,20 @@ _FORWARD = {
     "reshape": _f_reshape,
     "frobenius_norm": _f_frobenius,
     "factor_product": lambda v, aux: dense_weight(*v),
-    "gram_deviation": lambda v, aux: gram_deviation(v[0]),
     "hoyer": lambda v, aux: hoyer(v[0], HOYER_EPS),
     "linear": _f_linear,
     "softmax_cross_entropy": _f_softmax_ce,
-    "conv2d": _f_conv2d,
     "dropout": _f_dropout,
 }
 
 
 def _node_forward(op: str, inputs: list, aux: dict, save: bool):
     """One node's forward value; with ``save``, what its backward reads goes into ``aux``."""
-    saving = _SAVING.get(op) if save else None
-    if saving is None:
+    if op not in _SAVING:
         return _FORWARD[op](inputs, aux)
-    value, saved = saving(inputs, aux)
-    aux.update(saved)
+    value, saved = _SAVING[op](inputs, aux)
+    if save:
+        aux.update(saved)
     return value
 
 
@@ -297,12 +279,9 @@ def _node_forward(op: str, inputs: list, aux: dict, save: bool):
 # An entry may be None for an input that needs no gradient; backward skips it.
 
 
-def _b_matmul(g, v, out, aux):
-    return [g @ v[1].T, v[0].T @ g]
-
-
 def _b_add(g, v, out, aux):
-    return [_unbroadcast(g, v[0].shape), _unbroadcast(g, v[1].shape)]
+    # both inputs may share g: no backward rule writes into its incoming gradient
+    return [g, g]
 
 
 def _b_scale(g, v, out, aux):
@@ -310,9 +289,7 @@ def _b_scale(g, v, out, aux):
 
 
 def _b_transpose(g, v, out, aux):
-    axes = aux["axes"]
-    inverse = None if axes is None else np.argsort(axes)
-    return [np.ascontiguousarray(np.transpose(g, inverse))]
+    return [np.ascontiguousarray(np.transpose(g, np.argsort(aux["axes"])))]
 
 
 def _b_relu(g, v, out, aux):
@@ -376,14 +353,10 @@ def _b_conv2d(g, v, out, aux):
 
 
 def _b_dropout(g, v, out, aux):
-    mask = aux["mask"]
-    if mask is None:
-        return [g.copy()]
-    return [g * mask.astype(g.dtype)]
+    return [g * aux["mask"].astype(g.dtype)]
 
 
 _BACKWARD = {
-    "matmul": _b_matmul,
     "add": _b_add,
     "scale": _b_scale,
     "transpose": _b_transpose,
@@ -406,7 +379,6 @@ class Node:
     inputs: tuple[int, ...]
     value: np.ndarray
     aux: dict = field(default_factory=dict)
-    trainable: bool = False
     name: str | None = None
     needs_grad: bool = False
 
@@ -436,41 +408,33 @@ class Graph:
     # -- leaves ------------------------------------------------------------
 
     def leaf(self, value, trainable: bool = False, name: str | None = None) -> int:
+        """A value node; ``backward`` differentiates it only if ``trainable``.
+
+        A float32 C-contiguous ``value`` is held as is, not copied, so an
+        update written into that array in place reaches the next :meth:`rerun`.
+        """
         return self._append(
-            Node(op="leaf", inputs=(), value=_leaf_array(value), trainable=trainable,
-                 name=name, needs_grad=trainable)
+            Node(op="leaf", inputs=(), value=_leaf_array(value), name=name, needs_grad=trainable)
         )
 
     # -- ops ---------------------------------------------------------------
 
-    def matmul(self, a: int, b: int) -> int:
-        va, vb = self.nodes[a].value, self.nodes[b].value
-        if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
-            raise ShapeError(f"matmul: cannot multiply {va.shape} by {vb.shape}")
-        return self._apply("matmul", (a, b))
-
     def add(self, a: int, b: int) -> int:
+        """The sum of two values of one shape."""
         sa, sb = self.nodes[a].value.shape, self.nodes[b].value.shape
         if sa != sb:
-            try:
-                np.broadcast_shapes(sa, sb)
-            except ValueError as exc:
-                raise ShapeError(f"add: shapes {sa} and {sb}") from exc
+            raise ShapeError(f"add: shapes {sa} and {sb} differ")
         return self._apply("add", (a, b))
 
     def scale(self, a: int, alpha: float) -> int:
         return self._apply("scale", (a,), {"alpha": float(alpha)})
 
-    def transpose(self, a: int, axes: tuple[int, ...] | None = None) -> int:
-        """Permute ``a``'s axes; ``axes=None`` is the transpose of a 2-D value."""
+    def transpose(self, a: int, axes: tuple[int, ...]) -> int:
+        """Permute ``a``'s axes as ``np.transpose(value, axes)`` does."""
         ndim = self.nodes[a].value.ndim
-        if axes is None:
-            if ndim != 2:
-                raise ShapeError("transpose without axes expects a 2-D value")
-        else:
-            axes = tuple(int(ax) for ax in axes)
-            if sorted(axes) != list(range(ndim)):
-                raise ShapeError(f"transpose: axes {axes} do not permute {ndim} dimensions")
+        axes = tuple(int(ax) for ax in axes)
+        if sorted(axes) != list(range(ndim)):
+            raise ShapeError(f"transpose: axes {axes} do not permute {ndim} dimensions")
         return self._apply("transpose", (a,), {"axes": axes})
 
     def relu(self, a: int) -> int:
@@ -534,11 +498,15 @@ class Graph:
                "x_needs_grad": self.nodes[x].needs_grad}
         return self._apply("conv2d", (weight, x), aux)
 
-    def dropout(self, a: int, rate: float, seed: int, train: bool) -> int:
-        """Inverted dropout with a mask drawn from ``seed``; the identity unless ``train``."""
+    def dropout(self, a: int, rate: float, seed: int) -> int:
+        """Inverted dropout for training, with a mask drawn from ``seed``.
+
+        Serving has no dropout (``factorized.forward_features``), so this op
+        always drops: each entry is kept with probability ``1 - rate`` and
+        scaled by ``1 / (1 - rate)``.
+        """
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        rate = rate if train else 0.0
         mask = _dropout_mask(self.nodes[a].value.shape, rate, seed)
         return self._apply("dropout", (a,), {"rate": rate, "seed": seed, "mask": mask})
 

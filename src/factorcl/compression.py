@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .factorized import TaskFactors
 
 
@@ -27,9 +28,9 @@ class PruneConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.energy_e < 1.0:
-            raise ValueError(f"energy_e must be in [0, 1), got {self.energy_e}")
+            raise ConfigError(f"energy_e must be in [0, 1), got {self.energy_e}")
         if self.min_rank < 1:
-            raise ValueError(f"min_rank must be >= 1, got {self.min_rank}")
+            raise ConfigError(f"min_rank must be >= 1, got {self.min_rank}")
 
 
 def sort_by_magnitude(f: TaskFactors) -> TaskFactors:

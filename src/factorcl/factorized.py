@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .linalg import DTYPE, dense_weight, random_orthonormal
 
 
@@ -39,7 +39,7 @@ class LayerShape:
 
     def __post_init__(self):
         if min(self.c, self.n, self.h, self.w) < 1:
-            raise ValueError(f"layer dimensions must be positive, got {self}")
+            raise ConfigError(f"layer dimensions must be positive, got {self}")
 
     @property
     def q(self) -> int:
@@ -54,9 +54,11 @@ def _feature_dim(layers, input_hw, strides, paddings) -> int:
     """Flattened size of the conv stack's output: the head's input width."""
     h, w = input_hw
     for shape, stride, pad in zip(layers, strides, paddings):
+        if stride < 1 or pad < 0:
+            raise ConfigError(f"stride must be >= 1 and padding >= 0, got {stride} and {pad}")
         h, w = ad.conv_output_size(h, w, shape.h, shape.w, stride, pad)
         if h < 1 or w < 1:
-            raise ValueError("feature map collapsed to zero size")
+            raise ConfigError("feature map collapsed to zero size")
     return layers[-1].c * h * w
 
 
@@ -74,18 +76,20 @@ class NetworkSpec:
     def __post_init__(self):
         n_layers = len(self.layers)
         if n_layers == 0:
-            raise ValueError("network needs at least one layer")
+            raise ConfigError("network needs at least one layer")
         for name in ("strides", "paddings", "dropout_rates"):
             if len(getattr(self, name)) != n_layers:
-                raise ValueError(f"{name} must have one entry per layer")
+                raise ConfigError(f"{name} must have one entry per layer")
+        if not all(0.0 <= rate < 1.0 for rate in self.dropout_rates):
+            raise ConfigError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.n != prev.c:
-                raise ValueError(
+                raise ConfigError(
                     f"layer input channels {nxt.n} do not match previous output {prev.c}"
                 )
         features = _feature_dim(self.layers, self.input_hw, self.strides, self.paddings)
         if self.head_input_dim != features:
-            raise ValueError(
+            raise ConfigError(
                 f"head_input_dim {self.head_input_dim} does not match "
                 f"flattened conv output {features}"
             )
@@ -225,9 +229,7 @@ def empty_space(spec: NetworkSpec, isolated: bool = False) -> SharedSpace:
     )
 
 
-def expand(
-    spec: NetworkSpec, t: int, seed: int, classes: int, max_rank: tuple[int, ...] | None = None
-) -> tuple[TaskFactors, TaskHead]:
+def expand(spec: NetworkSpec, t: int, seed: int, classes: int) -> tuple[TaskFactors, TaskHead]:
     """Fresh trainable factors and head for task ``t``.
 
     Per layer r = floor(c*q / (c + q + 1)) clamped to >= 1, so factorized
@@ -235,15 +237,12 @@ def expand(
     sigma starts in (0.5, 1.0]: graded so pruning order is meaningful, but
     bounded away from zero so the sparsity penalty (whose gradient blows up
     as ||sigma|| -> 0) cannot erase a direction before the task has produced
-    any gradient signal for it.  ``max_rank`` optionally caps each layer's
-    width (fixed-capacity mode).
+    any gradient signal for it.
     """
     states = np.random.SeedSequence([seed, t]).generate_state(3 * spec.num_layers + 2)
     u, sigma, v = [], [], []
     for l, shape in enumerate(spec.layers):
         r = shape.expansion_rank()
-        if max_rank is not None:
-            r = min(r, max_rank[l])
         u.append(random_orthonormal(shape.c, r, seed=int(states[3 * l])))
         v.append(random_orthonormal(shape.q, r, seed=int(states[3 * l + 1])))
         rng = np.random.default_rng(int(states[3 * l + 2]))
@@ -317,17 +316,18 @@ def graph_forward(
     weights: list[int],
     spec: NetworkSpec,
     x_node: int,
-    train: bool = False,
     dropout_seed: int = 0,
 ) -> int:
-    """Conv stack forward on graph nodes; returns flattened feature node.
+    """Training-time conv stack forward on graph nodes; returns flattened feature node.
 
     ``x_node`` is batch-major ``(N, C, H, W)`` and the result is
     ``(N, head_input_dim)``.  In between, activations are channel-major
     ``(C, N, H, W)``: one transpose on entry and one before the flatten.
-    Layer l's dropout node draws its mask from ``dropout_seed + l``, over
-    that channel-major shape, so a seeded dropout run draws its mask in a
-    different element order than over a batch-major activation.
+    Each layer with a positive dropout rate drops: layer l's dropout node
+    draws its mask from ``dropout_seed + l``, over that channel-major
+    shape, so a seeded dropout run draws its mask in a different element
+    order than over a batch-major activation.  Inference runs
+    :func:`forward_features`, which has no dropout.
     """
     batch = g.value(x_node).shape[0]
     h = g.transpose(x_node, (1, 0, 2, 3))
@@ -339,7 +339,7 @@ def graph_forward(
         h = g.relu(h)
         rate = spec.dropout_rates[l]
         if rate > 0.0:
-            h = g.dropout(h, rate=rate, seed=dropout_seed + l, train=train)
+            h = g.dropout(h, rate=rate, seed=dropout_seed + l)
     return g.reshape(g.transpose(h, (1, 0, 2, 3)), (batch, spec.head_input_dim))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .factorized import TaskFactors
 
 
@@ -29,7 +29,7 @@ class LossWeights:
         for name in ("lambda_orth", "lambda_sparse"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {val}")
+                raise ConfigError(f"{name} must be finite and non-negative, got {val}")
 
 
 def gram_deviation(m: np.ndarray) -> float:

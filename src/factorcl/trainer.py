@@ -17,10 +17,11 @@ reverse-tape order as a pass over that group's own loss would.
 
 A step's tape has one shape for every batch of a size, so a task builds
 it once per batch size and re-runs it for later steps, feeding in the
-parameters, the batch, its labels and the dropout seed; the result is
-bitwise that of a fresh tape per step.  Adam keeps the parameters,
-moments and gradient in flat buffers, so its update is one vectorized
-formula over all of them.
+batch, its labels and the dropout seed; the result is bitwise that of a
+fresh tape per step.  Adam keeps the parameters, moments and gradient in
+flat buffers, so its update is one vectorized formula over all of them.
+Each trainable leaf holds its parameter's view into Adam's buffer, so a
+step is never fed its parameters: the tape reads what Adam last wrote.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ class Adam:
     float32 buffers: ``flat``, ``moments`` (one row per moment) and
     ``grad``.  Construction copies every ``params[key]`` into ``flat`` and
     re-binds the entry to its view there, so one vectorized update serves
-    all keys and reaches the caller's dict in place.  ``step`` takes that
-    dict and a gradient for every key; each element gets the same formula,
-    at the same precision, as a per-key loop would give it.
+    all keys and reaches the caller's dict in place.  ``step`` takes a
+    gradient for every key; each element gets the same formula, at the
+    same precision, as a per-key loop would give it.
     """
 
     def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
@@ -116,7 +117,7 @@ class Adam:
             self._grads[key] = self.grad[start:stop].reshape(p.shape)
             start = stop
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+    def step(self, grads: dict[str, np.ndarray], lr: float):
         if grads.keys() != self._grads.keys():
             raise KeyError(f"Adam.step needs a gradient for each of {sorted(self._grads)}, "
                            f"got {sorted(grads)}")
@@ -150,9 +151,10 @@ class _StepTape:
     """One training step's tape for one batch size: built once, then re-run.
 
     The first step builds the tape with its batch; every later step of
-    that size feeds the values that change (the parameters, the batch,
-    its labels and the dropout seed) and re-runs it, so the tape's shape
-    and every check made while building it stay as they were built.
+    that size feeds the values that change (the batch, its labels and the
+    dropout seed) and re-runs it, so the tape's shape and every check made
+    while building it stay as they were built.  The parameter leaves hold
+    the ``params`` arrays themselves, which Adam updates in place.
     """
 
     def __init__(self, spec: fz.NetworkSpec, params: dict[str, np.ndarray], build,
@@ -160,22 +162,18 @@ class _StepTape:
         g = self.graph = ad.Graph()
         weights, penalties = build(g)
         self.x = g.leaf(x)
-        feats = fz.graph_forward(g, weights, spec, self.x, train=True, dropout_seed=seed)
+        feats = fz.graph_forward(g, weights, spec, self.x, dropout_seed=seed)
         hw = g.leaf(params["head_w"], trainable=True, name="head_w")
         hb = g.leaf(params["head_b"], trainable=True, name="head_b")
         self.task_loss = self.loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
         for term in penalties():
             self.loss = g.add(self.loss, term)
-        nodes = list(enumerate(g.nodes))
-        self.params = [(nid, node.name) for nid, node in nodes if node.trainable]
         # each dropout node's seed is the step's seed plus a fixed offset
-        self.dropout = [(nid, node.aux["seed"] - seed) for nid, node in nodes
+        self.dropout = [(nid, node.aux["seed"] - seed) for nid, node in enumerate(g.nodes)
                         if node.op == "dropout"]
 
-    def run(self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, seed: int):
+    def run(self, x: np.ndarray, y: np.ndarray, seed: int):
         g = self.graph
-        for nid, key in self.params:
-            g.feed(nid, params[key])
         g.feed(self.x, x)
         g.feed(self.task_loss, y)
         for nid, offset in self.dropout:
@@ -225,12 +223,12 @@ def _fit(
             if tape is None:
                 tape = tapes[len(batch)] = _StepTape(spec, params, build, x, y, seed)
             else:
-                tape.run(params, x, y, seed)
+                tape.run(x, y, seed)
             if not np.isfinite(tape.objective()):
                 raise TrainingError(
                     "non-finite training objective", task=task, epoch=epoch, step=step
                 )
-            adam.step(params, tape.grads(), lr)
+            adam.step(tape.grads(), lr)
     # the trained arrays own their memory instead of viewing Adam's buffer
     for key, view in params.items():
         params[key] = view.copy()
@@ -428,13 +426,7 @@ def run_continual(
                 for c in crossings
             ),
         )
-    rank_alloc = []
-    for l in range(spec.num_layers):
-        row, prev = [], 0
-        for t in range(1, space.num_tasks + 1):
-            row.append(space.rank_upto(l, t) - prev)
-            prev = space.rank_upto(l, t)
-        rank_alloc.append(row)
+    rank_alloc = [np.diff(row, prepend=0).tolist() for row in space.rank_table]
     report = compute_metrics(
         acc_rows, fz.size_bytes(space),
         rank_allocation=rank_alloc, wall_clock=wall, config=asdict(cfg),

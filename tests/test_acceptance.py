@@ -196,18 +196,18 @@ def _op_graph(op: str, rng):
         ).astype(np.float32)
         return g.leaf(a, trainable=True)
 
-    if op == "matmul":
-        loss = g.frobenius_norm(g.matmul(leaf((3, 4)), leaf((4, 2))))
-    elif op == "add":
+    if op == "add":
         loss = g.frobenius_norm(g.add(leaf((3, 3)), leaf((3, 3))))
     elif op == "scale":
         loss = g.frobenius_norm(g.scale(leaf((4, 2)), float(rng.uniform(0.3, 2.0))))
     elif op == "transpose":
-        loss = g.frobenius_norm(g.matmul(g.transpose(leaf((3, 4))), leaf((3, 2))))
+        # axes that are not their own inverse, mixed by a trainable product
+        flat = g.reshape(g.transpose(leaf((2, 3, 2, 2)), (2, 0, 3, 1)), (4, 6))
+        loss = g.frobenius_norm(g.linear(flat, leaf((6, 2)), g.leaf(np.zeros(2, np.float32))))
     elif op == "relu":
         loss = g.frobenius_norm(g.relu(leaf((4, 4), floor=0.3)))
     elif op == "dropout":
-        h = g.dropout(leaf((4, 4), floor=0.3), rate=0.4, seed=int(rng.integers(1e6)), train=True)
+        h = g.dropout(leaf((4, 4), floor=0.3), rate=0.4, seed=int(rng.integers(1e6)))
         loss = g.frobenius_norm(h)
     elif op == "reshape":
         loss = g.frobenius_norm(g.reshape(leaf((2, 6)), (3, 4)))

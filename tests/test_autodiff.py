@@ -23,6 +23,11 @@ def channel_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
+def matmul(g, a, b):
+    """``a @ b`` on the tape: ``linear`` with a frozen zero bias."""
+    return g.linear(a, b, g.leaf(np.zeros(g.value(b).shape[1], dtype=np.float32)))
+
+
 def check(graph, loss, tol=1e-3, **kw):
     report = ad.grad_check(graph, loss, tolerance=tol, **kw)
     assert report.passed, str(report)
@@ -117,7 +122,7 @@ def test_forward_matches_pure_recomputation():
     g = ad.Graph()
     a = g.leaf(rng_array((3, 4), seed=5), trainable=True)
     b = g.leaf(rng_array((4, 2), seed=6))
-    out = g.relu(g.matmul(a, b))
+    out = g.relu(matmul(g, a, b))
     replayed = g.replay(out, dtype=np.float32)
     np.testing.assert_array_equal(replayed, g.value(out))
 
@@ -127,15 +132,17 @@ def test_shape_errors():
     a = g.leaf(np.ones((2, 3), dtype=np.float32))
     b = g.leaf(np.ones((2, 3), dtype=np.float32))
     with pytest.raises(ShapeError):
-        g.matmul(a, b)
+        matmul(g, a, b)
     with pytest.raises(ShapeError):
-        g.transpose(g.leaf(np.ones(3, dtype=np.float32)))
+        g.transpose(g.leaf(np.ones(3, dtype=np.float32)), (1, 0))
     with pytest.raises(ShapeError):
         g.factor_product(a, g.leaf(np.ones(2, dtype=np.float32)), b)
     with pytest.raises(ShapeError):
         g.conv2d(a, g.leaf(np.ones((1, 3, 5, 5), dtype=np.float32)), kernel=(3, 3, 3))
     with pytest.raises(ShapeError):
         g.add(a, g.leaf(np.ones((3, 2), dtype=np.float32)))
+    with pytest.raises(ShapeError):  # add joins equal shapes only, never broadcasts
+        g.add(a, g.leaf(np.ones((1, 3), dtype=np.float32)))
 
 
 def test_label_out_of_range():
@@ -154,7 +161,7 @@ def test_quadratic_gradient():
     # loss = ||x||^2 via x xT; gradient is 2x
     g = ad.Graph()
     x = g.leaf(np.array([[1.0, 2.0]], dtype=np.float32), trainable=True)
-    loss = g.reshape(g.matmul(x, g.transpose(x)), ())
+    loss = g.reshape(matmul(g, x, g.transpose(x, (1, 0))), ())
     grads = g.backward(loss)
     np.testing.assert_allclose(grads[x], [[2.0, 4.0]], atol=1e-6)
 
@@ -164,7 +171,7 @@ def test_frozen_leaf_excluded_and_unchanged():
     frozen_value = rng_array((3, 3), seed=8)
     frozen = g.leaf(frozen_value, trainable=False)
     train = g.leaf(rng_array((3, 3), seed=9), trainable=True)
-    loss = g.frobenius_norm(g.add(g.matmul(frozen, train), g.leaf(np.float32(0.1))))
+    loss = g.frobenius_norm(g.linear(frozen, train, g.leaf(np.full(3, 0.1, dtype=np.float32))))
     grads = g.backward(loss)
     assert train in grads and frozen not in grads
     np.testing.assert_array_equal(g.value(frozen), frozen_value)
@@ -192,7 +199,7 @@ def test_frozen_subgraph_gets_no_gradient_work():
     frozen = g.leaf(rng_array((2, 2), seed=3))
     frozen_sum = g.add(frozen, frozen)
     w = g.leaf(rng_array((2, 2), seed=4), trainable=True)
-    loss = g.frobenius_norm(g.matmul(frozen_sum, w))
+    loss = g.frobenius_norm(matmul(g, frozen_sum, w))
     assert not g.nodes[frozen_sum].needs_grad and g.nodes[loss].needs_grad
     assert set(g.backward(loss)) == {w}
     # a loss with no trainable ancestor has nothing to differentiate
@@ -292,7 +299,7 @@ def test_determinism_bitwise():
     def build():
         g = ad.Graph()
         x = g.leaf(rng_array((4, 6), seed=3), trainable=True)
-        h = g.dropout(g.relu(x), rate=0.5, seed=123, train=True)
+        h = g.dropout(g.relu(x), rate=0.5, seed=123)
         loss = g.frobenius_norm(h)
         return g.value(loss).copy(), g.backward(loss)[x]
 
@@ -315,7 +322,7 @@ def _step_graph(x, labels, seed):
     w = g.leaf(rng_array((3, 2 * 3 * 3), seed=50, scale=0.3), trainable=True, name="w")
     xl = g.leaf(channel_major(x))
     conv = g.relu(g.conv2d(w, xl, kernel=(2, 3, 3), padding=1))
-    drop = g.dropout(conv, rate=0.3, seed=seed, train=True)
+    drop = g.dropout(conv, rate=0.3, seed=seed)
     flat = g.reshape(g.transpose(drop, (1, 0, 2, 3)), (x.shape[0], 3 * 4 * 4))
     hw = g.leaf(rng_array((48, 3), seed=51, scale=0.1), trainable=True, name="hw")
     hb = g.leaf(np.zeros(3, np.float32), trainable=True, name="hb")
@@ -375,6 +382,12 @@ def test_gram_deviation_backward_reads_the_forward_residual(monkeypatch):
     assert g.nodes[dev].aux["residual"].tobytes() == residual.tobytes()
 
 
+def test_each_op_has_exactly_one_forward():
+    for op in ad._BACKWARD:
+        assert (op in ad._FORWARD) != (op in ad._SAVING), op
+    assert ad._FORWARD.keys() | ad._SAVING.keys() == ad._BACKWARD.keys()
+
+
 # -- finite-difference checks, one per op ---------------------------------------
 
 
@@ -382,8 +395,8 @@ def test_fd_matmul_add_scale():
     g = ad.Graph()
     a = g.leaf(rng_array((3, 4), seed=10), trainable=True, name="a")
     b = g.leaf(rng_array((4, 2), seed=11), trainable=True, name="b")
-    c = g.leaf(rng_array((1, 2), seed=12), trainable=True, name="c")
-    loss = g.frobenius_norm(g.scale(g.add(g.matmul(a, b), c), 0.7))
+    c = g.leaf(rng_array((3, 2), seed=12), trainable=True, name="c")
+    loss = g.frobenius_norm(g.scale(g.add(matmul(g, a, b), c), 0.7))
     check(g, loss)
 
 
@@ -395,7 +408,7 @@ def test_fd_transpose_4d_axes():
     assert g.value(t).shape == (4, 2, 5, 3)
     assert g.value(t).tobytes() == np.ascontiguousarray(g.value(x).transpose(2, 0, 3, 1)).tobytes()
     mix = g.leaf(rng_array((15, 3), seed=28), trainable=True, name="mix")
-    loss = g.frobenius_norm(g.matmul(g.reshape(t, (8, 15)), mix))
+    loss = g.frobenius_norm(matmul(g, g.reshape(t, (8, 15)), mix))
     check(g, loss)
     with pytest.raises(ShapeError):
         g.transpose(x, (0, 1, 2))
@@ -487,7 +500,7 @@ def test_fd_conv2d():
 def test_fd_dropout_fixed_mask():
     g = ad.Graph()
     x = g.leaf(np.abs(rng_array((5, 5), seed=24)) + 0.3, trainable=True, name="x")
-    loss = g.frobenius_norm(g.dropout(x, rate=0.4, seed=7, train=True))
+    loss = g.frobenius_norm(g.dropout(x, rate=0.4, seed=7))
     check(g, loss)
 
 
@@ -550,6 +563,6 @@ def test_fd_random_small_graphs(seed, rows, cols):
     g = ad.Graph()
     a = g.leaf((rng.normal(size=(rows, cols)) + 2.0).astype(np.float32), trainable=True)
     b = g.leaf((rng.normal(size=(cols, rows)) + 2.0).astype(np.float32), trainable=True)
-    h = g.relu(g.scale(g.matmul(a, b), 0.5))
-    loss = g.frobenius_norm(g.add(h, g.transpose(g.matmul(a, b))))
+    h = g.relu(g.scale(matmul(g, a, b), 0.5))
+    loss = g.frobenius_norm(g.add(h, g.transpose(matmul(g, a, b), (1, 0))))
     check(g, loss, max_entries=10)

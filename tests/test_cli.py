@@ -67,6 +67,28 @@ def test_load_config_rejects_non_json(tmp_path):
         load_config(path)
 
 
+def only_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"dropout": 1.5},
+    {"input_shape": [2, 6, 6], "kernel": 9, "padding": 0},
+    {"stride": 0},
+    {"lambda_orth": -1},
+    {"energy_e": 1.5},
+    {"min_rank": 0},
+])
+def test_train_reports_bad_config_values_as_one_error_line(tmp_path, capsys, overrides):
+    config = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    only_error_line(capsys)
+    assert not out.exists()
+
+
 # -- train artifacts -------------------------------------------------------------------
 
 
@@ -155,6 +177,17 @@ def test_compress_rejects_space_file(train_run, tmp_path, capsys):
         "--energy", "0.1", "--out", str(tmp_path / "x.npz"),
     ])
     assert code == 1
+
+
+def test_compress_reports_a_bad_energy_as_one_error_line(train_run, tmp_path, capsys):
+    out = tmp_path / "x.npz"
+    code = main([
+        "compress", "--model", str(train_run / "task1_raw.npz"),
+        "--energy", "1.5", "--out", str(out),
+    ])
+    assert code == 1
+    assert "energy_e" in only_error_line(capsys)
+    assert not out.exists()
 
 
 # -- report ----------------------------------------------------------------------------

@@ -169,13 +169,12 @@ def test_compose_weights_graph_matches_dense_and_freezes_shared():
 
 
 def test_graph_forward_features_equal_forward_features():
-    spec = fz.NetworkSpec.build((4, 5), in_channels=3, input_hw=(7, 7), stride=(1, 2),
-                                dropout=0.25)
+    spec = fz.NetworkSpec.build((4, 5), in_channels=3, input_hw=(7, 7), stride=(1, 2))
     rng = np.random.default_rng(12)
     weights = [(rng.normal(size=(s.c, s.q)) * 0.3).astype(np.float32) for s in spec.layers]
     x = rng.normal(size=(6, 3, 7, 7)).astype(np.float32)  # batch-major input
     g = ad.Graph()
-    feats = g.value(fz.graph_forward(g, [g.leaf(w) for w in weights], spec, g.leaf(x), train=False))
+    feats = g.value(fz.graph_forward(g, [g.leaf(w) for w in weights], spec, g.leaf(x)))
     expected = fz.forward_features(weights, spec, x)
     assert feats.shape == expected.shape == (6, spec.head_input_dim)
     assert feats.tobytes() == expected.tobytes()

@@ -62,7 +62,7 @@ def test_adam_single_step_hand_oracle():
     # m_hat = g, v_hat = g^2 after one step, so the update is lr * sign-ish step
     params = {"w": np.array([1.0], np.float32)}
     opt = tr.Adam(params)
-    opt.step(params, {"w": np.array([0.5], np.float32)}, lr=0.1)
+    opt.step({"w": np.array([0.5], np.float32)}, lr=0.1)
     # m/bc1 = 0.5, sqrt(v/bc2) = 0.5 -> step = 0.1 * 0.5 / (0.5 + 1e-8)
     assert params["w"][0] == pytest.approx(1.0 - 0.1, rel=1e-6)
 
@@ -70,7 +70,7 @@ def test_adam_single_step_hand_oracle():
 def test_adam_decoupled_moments_per_key():
     params = {"a": np.zeros(2, np.float32), "b": np.zeros(3, np.float32)}
     opt = tr.Adam(params)
-    opt.step(params, {"a": np.ones(2, np.float32), "b": np.zeros(3, np.float32)}, lr=0.1)
+    opt.step({"a": np.ones(2, np.float32), "b": np.zeros(3, np.float32)}, lr=0.1)
     assert np.all(params["a"] != 0) and np.all(params["b"] == 0)
 
 
@@ -96,7 +96,7 @@ def test_flat_adam_matches_the_per_key_update_bitwise():
         grads = {k: (rng.normal(size=sh) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
                  for k, sh in shapes.items()}
         lr = float(rng.choice([1e-1, 1e-3, 1e-5]))
-        opt.step(params, grads, lr)
+        opt.step(grads, lr)
         reference_adam_step(ref, m, v, t, grads, lr, beta1=0.8, beta2=0.99, eps=1e-6)
         for key in shapes:
             assert params[key].tobytes() == ref[key].tobytes(), (t, key)
@@ -109,7 +109,7 @@ def test_adam_needs_a_gradient_for_every_parameter():
     params = {"a": np.zeros(2, np.float32), "b": np.zeros(3, np.float32)}
     opt = tr.Adam(params)
     with pytest.raises(KeyError):
-        opt.step(params, {"a": np.ones(2, np.float32)}, lr=0.1)
+        opt.step({"a": np.ones(2, np.float32)}, lr=0.1)
     assert opt.step_count == 0
 
 
@@ -250,7 +250,7 @@ def reference_fit(data, spec, cfg, task, params, build):
             g = ad.Graph()
             weights, penalties = build(g, params)
             seed = tr._dropout_seed(cfg, task, epoch, start) if use_dropout else 0
-            feats = fz.graph_forward(g, weights, spec, g.leaf(x), train=True, dropout_seed=seed)
+            feats = fz.graph_forward(g, weights, spec, g.leaf(x), dropout_seed=seed)
             hw = g.leaf(params["head_w"], trainable=True, name="head_w")
             hb = g.leaf(params["head_b"], trainable=True, name="head_b")
             loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
@@ -318,6 +318,38 @@ def test_reused_tape_trains_the_bits_of_a_fresh_graph_per_step(case, fit_starts)
     assert trained.keys() == params.keys()
     for key, value in params.items():
         assert trained[key].tobytes() == value.tobytes(), key
+
+
+def test_the_tape_trains_on_adams_arrays(monkeypatch):
+    # a step feeds no parameters: each trainable leaf is Adam's own view
+    adams, runs = [], []
+    real_init, real_run = tr.Adam.__init__, tr._StepTape.run
+
+    def init(adam, *args, **kwargs):
+        real_init(adam, *args, **kwargs)
+        adams.append(adam)
+
+    def run(tape, x, y, seed):
+        (adam,) = adams
+        g = tape.graph
+        leaves = [node.value for node in g.nodes if node.op == "leaf" and node.needs_grad]
+        assert len(leaves) == 3 * SPEC.num_layers + 2
+        assert all(np.shares_memory(value, adam.flat) for value in leaves)
+        products = [nid for nid, node in enumerate(g.nodes) if node.op == "factor_product"]
+        before = [g.value(nid).copy() for nid in products]
+        real_run(tape, x, y, seed)
+        for nid, old in zip(products, before):
+            u, s, v = (g.value(i) for i in g.nodes[nid].inputs)
+            assert g.value(nid).tobytes() == fz.dense_weight(u, s, v).tobytes()
+            assert g.value(nid).tobytes() != old.tobytes()  # the re-run read Adam's step
+        runs.append(seed)
+
+    monkeypatch.setattr(tr.Adam, "__init__", init)
+    monkeypatch.setattr(tr._StepTape, "run", run)
+    data = tiny_stream(tasks=1)[0]
+    fresh, head = fz.expand(SPEC, 1, seed=0, classes=data.classes)
+    tr.train_task(data, None, fresh, head, tiny_cfg(), spec=SPEC)
+    assert len(adams) == 1 and runs
 
 
 def test_a_task_builds_its_tape_once_per_batch_size(monkeypatch):
