@@ -27,13 +27,18 @@ needs returns it too, and building or re-running saves it in the node's
 ``XᵀX − I``.  Building, re-running and replaying share one per-node
 evaluation.
 
-Convolutions keep activations channel-major, ``(C, N, H, W)``: channel
-first, then batch.  ``im2col`` and ``col2im``, ``conv2d_forward`` and the
-``conv2d`` op all take and return that layout, so a convolution's output
-is its gemm result reshaped, with no copy, and its backward reads the
-incoming gradient with a free reshape.  A network whose inputs and
-features are batch-major transposes once on entry to the conv stack and
-once before the flatten (see ``factorized.graph_forward``).
+Convolutions keep activations batch-innermost, ``(C, H, W, N)``:
+channel, then pixel, then image.  ``im2col`` and ``col2im``,
+``conv2d_forward`` and the ``conv2d`` op all take and return that
+layout, so every kernel offset's slice and scatter-add moves contiguous
+runs of N values, a convolution's output is its gemm result reshaped,
+with no copy, and its backward reads the incoming gradient with a free
+reshape.  The weight gradient alone sums over batch-major copies of its
+operands, columns in ``(image, out row, out col)`` order: a gemm's bits
+depend on the order it sums in, and this one keeps the trained bits
+those of a batch-major layout.  A network whose inputs and features are
+batch-major transposes once on entry to the conv stack and once before
+the flatten (see ``factorized.graph_forward``).
 
 Each formula of the factorized model is one op with a closed-form
 backward: ``factor_product`` (a layer's weight ``(U*s)·Vᵀ``),
@@ -66,27 +71,27 @@ HOYER_EPS = 1e-12
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold channel-major ``(C, N, H, W)`` patches into a ``(C*kh*kw, N*Ho*Wo)`` matrix.
+    """Unfold batch-innermost ``(C, H, W, N)`` patches into a ``(C*kh*kw, Ho*Wo*N)`` matrix.
 
     Rows are ordered ``(channel, kh, kw)``, so they line up with a conv
     weight stored as its ``c x (n*kh*kw)`` matrix; columns are ordered
-    ``(image, out row, out col)``.  Each kernel offset's shifted slice is
-    written straight into a ``(C, kh, kw, N, Ho, Wo)`` buffer, whose
+    ``(out row, out col, image)``.  Each kernel offset's shifted slice is
+    written straight into a ``(C, kh, kw, Ho, Wo, N)`` buffer, whose
     reshape is the column matrix.
     """
-    c_in, n_im, h, w = x.shape
+    c_in, h, w, n_im = x.shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
     if padding > 0:
-        padded = np.zeros((c_in, n_im, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        padded[:, :, padding:padding + h, padding:padding + w] = x
+        padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=x.dtype)
+        padded[:, padding:padding + h, padding:padding + w] = x
         x = padded
-    cols = np.empty((c_in, kh, kw, n_im, out_h, out_w), dtype=x.dtype)
+    cols = np.empty((c_in, kh, kw, out_h, out_w, n_im), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            cols[:, i, j] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.reshape(c_in * kh * kw, n_im * out_h * out_w)
+            cols[:, i, j] = x[:, i:i_max:stride, j:j_max:stride]
+    return cols.reshape(c_in * kh * kw, out_h * out_w * n_im)
 
 
 def col2im(
@@ -97,24 +102,22 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patch columns back to ``(C, N, H, W)``.
+    """Adjoint of :func:`im2col`: scatter-add patch columns back to ``(C, H, W, N)``.
 
     The kernel offsets are added in row-major ``(i, j)`` order into a
-    batch-innermost ``(C, Hp, Wp, N)`` buffer, where each strided add
-    moves whole runs of N contiguous values; the result is one contiguous
-    channel-major copy of the unpadded interior.
+    ``(C, Hp, Wp, N)`` buffer, where each strided add moves whole runs of
+    N contiguous values; the result is its unpadded interior, contiguous.
     """
-    c_in, n_im, h, w = x_shape
+    c_in, h, w, n_im = x_shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
-    cols = cols.reshape(c_in, kh, kw, n_im, out_h, out_w).transpose(0, 1, 2, 4, 5, 3)
+    cols = cols.reshape(c_in, kh, kw, out_h, out_w, n_im)
     img = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
             img[:, i:i_max:stride, j:j_max:stride] += cols[:, i, j]
-    img = img[:, padding:padding + h, padding:padding + w]
-    return np.ascontiguousarray(img.transpose(0, 3, 1, 2))
+    return np.ascontiguousarray(img[:, padding:padding + h, padding:padding + w])
 
 
 def conv_output_size(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
@@ -125,7 +128,7 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
                    stride: int = 1, padding: int = 0) -> np.ndarray:
     """Graph-free convolution for inference; same arithmetic as the conv2d op.
 
-    ``x`` is channel-major ``(C, N, H, W)`` and so is the result.
+    ``x`` is batch-innermost ``(C, H, W, N)`` and so is the result.
     """
     return _conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding})[0]
 
@@ -199,17 +202,22 @@ def _f_softmax_ce(v, aux):
 def _conv2d(v, aux):
     """The one conv forward formula: the output and the im2col columns it used.
 
-    ``x`` and the output are channel-major, so the output is the gemm
-    result ``(c_out, N*Ho*Wo)`` reshaped, without a copy.
+    ``x`` and the output are batch-innermost, so the output is the gemm
+    result ``(c_out, Ho*Wo*N)`` reshaped, without a copy.
     """
     w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
-    n_im = x.shape[1]
-    out_h, out_w = conv_output_size(x.shape[2], x.shape[3], kh, kw, stride, padding)
+    out_h, out_w = conv_output_size(x.shape[1], x.shape[2], kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
-    out = (w @ cols).reshape(w.shape[0], n_im, out_h, out_w)
+    out = (w @ cols).reshape(w.shape[0], out_h, out_w, x.shape[3])
     return out, {"cols": cols}
+
+
+def _batch_major(m: np.ndarray, n_im: int) -> np.ndarray:
+    """A contiguous copy of ``(rows, pixels*N)`` columns reordered to ``(image, pixel)``."""
+    rows = m.shape[0]
+    return np.ascontiguousarray(m.reshape(rows, -1, n_im).transpose(0, 2, 1)).reshape(rows, -1)
 
 
 def _f_dropout(v, aux):
@@ -345,7 +353,10 @@ def _b_conv2d(g, v, out, aux):
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     g_mat = g.reshape(w.shape[0], -1)
-    gw = g_mat @ aux["cols"].T
+    # the weight gradient sums over columns; batch-major copies of both
+    # operands fix that sum's order, and so its bits, to (image, out row, out col)
+    n_im = x.shape[3]
+    gw = _batch_major(g_mat, n_im) @ _batch_major(aux["cols"], n_im).T
     if not aux["x_needs_grad"]:
         return [gw, None]
     gx = col2im(w.T @ g_mat, x.shape, kh, kw, stride, padding)
@@ -484,16 +495,16 @@ class Graph:
                            {"labels": _checked_labels(v.shape, labels)})
 
     def conv2d(self, weight: int, x: int, kernel: tuple[int, int, int], stride: int = 1, padding: int = 0) -> int:
-        """Convolve channel-major ``x`` ``(C, N, H, W)``; the output is ``(c, N, Ho, Wo)``."""
+        """Convolve batch-innermost ``x`` ``(C, H, W, N)``; the output is ``(c, Ho, Wo, N)``."""
         vw, vx = self.nodes[weight].value, self.nodes[x].value
         c_in, kh, kw = kernel
         if vw.ndim != 2 or vw.shape[1] != c_in * kh * kw:
             raise ShapeError(f"conv2d: weight {vw.shape} vs kernel {kernel}")
         if vx.ndim != 4 or vx.shape[0] != c_in:
             raise ShapeError(f"conv2d: input {vx.shape} vs {c_in} channels")
-        out_h, out_w = conv_output_size(vx.shape[2], vx.shape[3], kh, kw, stride, padding)
+        out_h, out_w = conv_output_size(vx.shape[1], vx.shape[2], kh, kw, stride, padding)
         if out_h < 1 or out_w < 1:
-            raise ShapeError(f"conv2d: input {vx.shape[2:]} too small for kernel {kernel}")
+            raise ShapeError(f"conv2d: input {vx.shape[1:3]} too small for kernel {kernel}")
         aux = {"kernel": (c_in, kh, kw), "stride": int(stride), "padding": int(padding),
                "x_needs_grad": self.nodes[x].needs_grad}
         return self._apply("conv2d", (weight, x), aux)

@@ -253,8 +253,8 @@ def _spec_arrays(spec: NetworkSpec) -> dict:
 
 
 def _spec_from_arrays(blob) -> NetworkSpec:
-    layers = tuple(LayerShape(*(int(v) for v in row)) for row in blob["layers"])
     try:
+        layers = tuple(LayerShape(*(int(v) for v in row)) for row in blob["layers"])
         return NetworkSpec(
             layers=layers,
             input_hw=tuple(int(v) for v in blob["input_hw"]),

@@ -66,6 +66,15 @@ def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
 
+    try:
+        return _specs_from(blob)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or form
+        raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _specs_from(blob: dict) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
     stream_kwargs = {k: blob[k] for k in STREAM_KEYS if k in blob}
     stream_kwargs["input_shape"] = tuple(blob["input_shape"])
     if "overlap" in blob and isinstance(blob["overlap"], list):
@@ -88,8 +97,7 @@ def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
     train_kwargs = {k: blob[k] for k in TRAIN_KEYS if k in blob}
     if "lr_drop_epochs" in train_kwargs:
         train_kwargs["lr_drop_epochs"] = tuple(train_kwargs["lr_drop_epochs"])
-    cfg = tr.TrainConfig(**train_kwargs)
-    return stream_spec, spec, cfg
+    return stream_spec, spec, tr.TrainConfig(**train_kwargs)
 
 
 def _write_rank_csv(path, rank_allocation: list[list[int]], tasks: int) -> None:

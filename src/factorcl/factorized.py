@@ -321,16 +321,15 @@ def graph_forward(
     """Training-time conv stack forward on graph nodes; returns flattened feature node.
 
     ``x_node`` is batch-major ``(N, C, H, W)`` and the result is
-    ``(N, head_input_dim)``.  In between, activations are channel-major
-    ``(C, N, H, W)``: one transpose on entry and one before the flatten.
+    ``(N, head_input_dim)``.  In between, activations are batch-innermost
+    ``(C, H, W, N)``: one transpose on entry and one before the flatten.
     Each layer with a positive dropout rate drops: layer l's dropout node
-    draws its mask from ``dropout_seed + l``, over that channel-major
-    shape, so a seeded dropout run draws its mask in a different element
-    order than over a batch-major activation.  Inference runs
-    :func:`forward_features`, which has no dropout.
+    draws its mask from ``dropout_seed + l``, over that batch-innermost
+    shape, so which entries a seeded run drops depends on the layout.
+    Inference runs :func:`forward_features`, which has no dropout.
     """
     batch = g.value(x_node).shape[0]
-    h = g.transpose(x_node, (1, 0, 2, 3))
+    h = g.transpose(x_node, (1, 2, 3, 0))
     for l, shape in enumerate(spec.layers):
         h = g.conv2d(
             weights[l], h, kernel=(shape.n, shape.h, shape.w),
@@ -340,23 +339,26 @@ def graph_forward(
         rate = spec.dropout_rates[l]
         if rate > 0.0:
             h = g.dropout(h, rate=rate, seed=dropout_seed + l)
-    return g.reshape(g.transpose(h, (1, 0, 2, 3)), (batch, spec.head_input_dim))
+    return g.reshape(g.transpose(h, (3, 0, 1, 2)), (batch, spec.head_input_dim))
 
 
 def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """Inference-mode conv stack on plain arrays (no dropout).
 
-    Takes batch-major ``(N, C, H, W)`` input and returns ``(N, head_input_dim)``
-    features; the conv stack runs channel-major in between.
+    Takes batch-major ``(N, C, H, W)`` input and returns C-contiguous
+    ``(N, head_input_dim)`` features; the conv stack runs batch-innermost
+    ``(C, H, W, N)`` in between.
     """
-    h = np.ascontiguousarray(np.transpose(x, (1, 0, 2, 3)), dtype=DTYPE)
+    h = np.ascontiguousarray(np.transpose(x, (1, 2, 3, 0)), dtype=DTYPE)
     for l, shape in enumerate(spec.layers):
         h = ad.conv2d_forward(
             weights[l], h, kernel=(shape.n, shape.h, shape.w),
             stride=spec.strides[l], padding=spec.paddings[l],
         )
         np.maximum(h, 0, out=h)  # h is this layer's fresh conv output
-    return h.transpose(1, 0, 2, 3).reshape(h.shape[1], spec.head_input_dim)
+    # the flatten of the transpose is a strided view: the head gemm takes
+    # another BLAS path on it, so the features are copied to C order first
+    return np.ascontiguousarray(h.transpose(3, 0, 1, 2).reshape(h.shape[3], spec.head_input_dim))
 
 
 def run_network(weights, head: TaskHead, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ step is never fed its parameters: the tape reads what Adam last wrote.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -74,6 +75,14 @@ class TrainConfig:
             )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("base_lr", "lr_drop_factor", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         reg.LossWeights(self.lambda_orth, self.lambda_sparse)  # validates
         self.prune_config()  # validates
 

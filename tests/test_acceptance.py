@@ -225,7 +225,7 @@ def _op_graph(op: str, rng):
     elif op == "frobenius_norm":
         loss = g.frobenius_norm(leaf((3, 5), floor=0.3))
     elif op == "conv2d":
-        x = leaf((2, 2, 5, 5), scale=0.5)
+        x = leaf((2, 5, 5, 2), scale=0.5)  # (C, H, W, N)
         w = leaf((3, 2 * 3 * 3), scale=0.3)
         out = g.conv2d(w, x, kernel=(2, 3, 3), stride=int(rng.integers(1, 3)), padding=1)
         n_out = g.value(out).shape[0]

@@ -18,9 +18,9 @@ def rng_array(shape, seed, scale=1.0, offset=0.0):
     return (rng.normal(size=shape) * scale + offset).astype(np.float32)
 
 
-def channel_major(a):
-    """A batch-major ``(N, C, H, W)`` array in the conv layout ``(C, N, H, W)``."""
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+def batch_innermost(a):
+    """A batch-major ``(N, C, H, W)`` array in the conv layout ``(C, H, W, N)``."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
 
 
 def matmul(g, a, b):
@@ -52,48 +52,48 @@ def test_relu_values():
 
 def test_conv2d_1x1_kernel_equals_pointwise_matmul():
     rng = np.random.default_rng(0)
-    x = channel_major(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
+    x = batch_innermost(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
     w = rng.normal(size=(5, 3)).astype(np.float32)
     g = ad.Graph()
     out = g.conv2d(g.leaf(w), g.leaf(x), kernel=(3, 1, 1))
-    direct = np.einsum("oc,cbhw->obhw", w, x)
+    direct = np.einsum("oc,chwb->ohwb", w, x)
     np.testing.assert_allclose(g.value(out), direct, atol=1e-5)
 
 
 def test_conv2d_stride_padding_shapes():
     g = ad.Graph()
-    x = g.leaf(channel_major(rng_array((1, 2, 7, 7), seed=1)))
+    x = g.leaf(batch_innermost(rng_array((1, 2, 7, 7), seed=1)))
     w = g.leaf(rng_array((4, 2 * 3 * 3), seed=2))
     out = g.conv2d(w, x, kernel=(2, 3, 3), stride=2, padding=1)
-    assert g.value(out).shape == (4, 1, 4, 4)
+    assert g.value(out).shape == (4, 4, 4, 1)
 
 
 def _im2col_loop(x, kh, kw, stride, padding):
-    """Per-pixel reference: column (n, oy, ox), row (c, i, j) of the padded input."""
-    c_in, n_im, h, w = x.shape
+    """Per-pixel reference: column (oy, ox, n), row (c, i, j) of the padded input."""
+    c_in, h, w, n_im = x.shape
     out_h, out_w = ad.conv_output_size(h, w, kh, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c_in * kh * kw, n_im * out_h * out_w), dtype=x.dtype)
-    for c, i, j, n, oy, ox in itertools.product(
-        range(c_in), range(kh), range(kw), range(n_im), range(out_h), range(out_w)
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    cols = np.empty((c_in * kh * kw, out_h * out_w * n_im), dtype=x.dtype)
+    for c, i, j, oy, ox, n in itertools.product(
+        range(c_in), range(kh), range(kw), range(out_h), range(out_w), range(n_im)
     ):
-        cols[(c * kh + i) * kw + j, (n * out_h + oy) * out_w + ox] = \
-            xp[c, n, oy * stride + i, ox * stride + j]
+        cols[(c * kh + i) * kw + j, (oy * out_w + ox) * n_im + n] = \
+            xp[c, oy * stride + i, ox * stride + j, n]
     return cols
 
 
 def _col2im_loop(cols, x_shape, kh, kw, stride, padding):
     """Per-pixel reference scatter-add; each pixel sums its kernel offsets in (i, j) order."""
-    c_in, n_im, h, w = x_shape
+    c_in, h, w, n_im = x_shape
     out_h, out_w = ad.conv_output_size(h, w, kh, kw, stride, padding)
-    img = np.zeros((c_in, n_im, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    img = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=cols.dtype)
     for i, j in itertools.product(range(kh), range(kw)):
-        for c, n, oy, ox in itertools.product(
-            range(c_in), range(n_im), range(out_h), range(out_w)
+        for c, oy, ox, n in itertools.product(
+            range(c_in), range(out_h), range(out_w), range(n_im)
         ):
-            img[c, n, oy * stride + i, ox * stride + j] += \
-                cols[(c * kh + i) * kw + j, (n * out_h + oy) * out_w + ox]
-    return img[:, :, padding:padding + h, padding:padding + w]
+            img[c, oy * stride + i, ox * stride + j, n] += \
+                cols[(c * kh + i) * kw + j, (oy * out_w + ox) * n_im + n]
+    return img[:, padding:padding + h, padding:padding + w]
 
 
 @pytest.mark.parametrize("hw", [(5, 5), (6, 6), (5, 6)])
@@ -102,7 +102,7 @@ def _col2im_loop(cols, x_shape, kh, kw, stride, padding):
 @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
 def test_im2col_col2im_match_per_pixel_loops(hw, stride, padding, kernel):
     kh, kw = kernel
-    x_shape = (2, 3, *hw)  # channel-major (C, N, H, W)
+    x_shape = (2, *hw, 3)  # batch-innermost (C, H, W, N)
     x = rng_array(x_shape, seed=40)
     cols = ad.im2col(x, kh, kw, stride, padding)
     assert cols.tobytes() == _im2col_loop(x, kh, kw, stride, padding).tobytes()
@@ -116,6 +116,29 @@ def test_im2col_col2im_match_per_pixel_loops(hw, stride, padding, kernel):
     lhs = np.vdot(ad.im2col(x64, kh, kw, stride, padding), c64)
     rhs = np.vdot(x64, ad.col2im(c64, x_shape, kh, kw, stride, padding))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_weight_gradient_sums_over_batch_major_columns(stride, padding):
+    c_in, c_out, kh, kw, h, w, n_im = 3, 4, 3, 3, 6, 6, 5
+    x = rng_array((c_in, h, w, n_im), seed=44)
+    weight = rng_array((c_out, c_in * kh * kw), seed=45)
+    aux = {"kernel": (c_in, kh, kw), "stride": stride, "padding": padding, "x_needs_grad": False}
+    out = ad._node_forward("conv2d", [weight, x], aux, save=True)
+    g = rng_array(out.shape, seed=46)
+    gw, _ = ad._b_conv2d(g, [weight, x], out, aux)
+    # both gemm operands with columns in (image, out row, out col) order
+    _, out_h, out_w, _ = out.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    g_bm = np.empty((c_out, n_im * out_h * out_w), dtype=np.float32)
+    cols_bm = np.empty((c_in * kh * kw, n_im * out_h * out_w), dtype=np.float32)
+    for n, oy, ox in itertools.product(range(n_im), range(out_h), range(out_w)):
+        col = (n * out_h + oy) * out_w + ox
+        g_bm[:, col] = g[:, oy, ox, n]
+        for c, i, j in itertools.product(range(c_in), range(kh), range(kw)):
+            cols_bm[(c * kh + i) * kw + j, col] = xp[c, oy * stride + i, ox * stride + j, n]
+    assert gw.tobytes() == (g_bm @ cols_bm.T).tobytes()
 
 
 def test_forward_matches_pure_recomputation():
@@ -213,7 +236,7 @@ def test_conv2d_on_frozen_input_skips_col2im(monkeypatch):
     weight_grads, col2im_calls = [], []
     for x_trainable in (False, True):
         g = ad.Graph()
-        x = g.leaf(channel_major(rng_array((2, 3, 6, 6), seed=22, scale=0.5)),
+        x = g.leaf(batch_innermost(rng_array((2, 3, 6, 6), seed=22, scale=0.5)),
                    trainable=x_trainable)
         w = g.leaf(rng_array((4, 3 * 3 * 3), seed=23, scale=0.3), trainable=True)
         out = g.conv2d(w, x, kernel=(3, 3, 3), stride=2, padding=1)
@@ -320,10 +343,10 @@ def _step_graph(x, labels, seed):
     """
     g = ad.Graph()
     w = g.leaf(rng_array((3, 2 * 3 * 3), seed=50, scale=0.3), trainable=True, name="w")
-    xl = g.leaf(channel_major(x))
+    xl = g.leaf(batch_innermost(x))
     conv = g.relu(g.conv2d(w, xl, kernel=(2, 3, 3), padding=1))
     drop = g.dropout(conv, rate=0.3, seed=seed)
-    flat = g.reshape(g.transpose(drop, (1, 0, 2, 3)), (x.shape[0], 3 * 4 * 4))
+    flat = g.reshape(g.transpose(drop, (3, 0, 1, 2)), (x.shape[0], 3 * 4 * 4))
     hw = g.leaf(rng_array((48, 3), seed=51, scale=0.1), trainable=True, name="hw")
     hb = g.leaf(np.zeros(3, np.float32), trainable=True, name="hb")
     ce = g.softmax_cross_entropy(g.linear(flat, hw, hb), labels)
@@ -336,7 +359,7 @@ def test_rerun_after_feeding_matches_a_fresh_build_bitwise():
     g, x, drop, ce, loss = _step_graph(*first)
     first_loss = float(g.value(loss))
     g.backward(loss)
-    g.feed(x, channel_major(second[0]))
+    g.feed(x, batch_innermost(second[0]))
     g.feed(ce, second[1])
     g.feed(drop, second[2])
     g.rerun()
@@ -354,7 +377,7 @@ def test_rerun_after_feeding_matches_a_fresh_build_bitwise():
 def test_feed_checks_what_building_checked():
     g, x, drop, ce, loss = _step_graph(rng_array((4, 2, 4, 4), seed=54), np.array([0, 1, 2, 0]), 7)
     with pytest.raises(ShapeError):
-        g.feed(x, channel_major(rng_array((5, 2, 4, 4), seed=55)))
+        g.feed(x, batch_innermost(rng_array((5, 2, 4, 4), seed=55)))
     with pytest.raises(DataError):
         g.feed(ce, np.array([0, 1, 3, 0]))  # three classes
     with pytest.raises(DataError):
@@ -490,7 +513,7 @@ def test_fd_linear_softmax_ce():
 
 def test_fd_conv2d():
     g = ad.Graph()
-    x = g.leaf(channel_major(rng_array((2, 3, 6, 6), seed=22, scale=0.5)), trainable=True, name="x")
+    x = g.leaf(batch_innermost(rng_array((2, 3, 6, 6), seed=22, scale=0.5)), trainable=True, name="x")
     w = g.leaf(rng_array((4, 3 * 3 * 3), seed=23, scale=0.3), trainable=True, name="w")
     out = g.conv2d(w, x, kernel=(3, 3, 3), stride=2, padding=1)
     loss = g.frobenius_norm(g.reshape(out, (2, 4 * 3 * 3)))
@@ -523,10 +546,10 @@ def _composed_conv_graph(seed):
     s = g.leaf(np.abs(rng.normal(size=r)).astype(np.float32) + 0.3, trainable=True, name="s")
     v = g.leaf(rng.normal(size=(nhw, r)).astype(np.float32) * 0.4, trainable=True, name="v")
     w = g.add(frozen, g.factor_product(u, s, v))
-    x = g.leaf(channel_major(rng.normal(size=(4, 2, 5, 5)).astype(np.float32) * 0.5))
+    x = g.leaf(batch_innermost(rng.normal(size=(4, 2, 5, 5)).astype(np.float32) * 0.5))
     pre = g.conv2d(w, x, kernel=(2, 3, 3), padding=1)
     feat = g.relu(pre)
-    flat = g.reshape(g.transpose(feat, (1, 0, 2, 3)), (4, c * 5 * 5))
+    flat = g.reshape(g.transpose(feat, (3, 0, 1, 2)), (4, c * 5 * 5))
     hw = g.leaf(rng.normal(size=(c * 5 * 5, 3)).astype(np.float32) * 0.1, trainable=True, name="head_w")
     hb = g.leaf(np.zeros(3, dtype=np.float32), trainable=True, name="head_b")
     loss = g.softmax_cross_entropy(g.linear(flat, hw, hb), np.array([0, 1, 2, 0]))

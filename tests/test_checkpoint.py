@@ -280,6 +280,18 @@ def test_task_factors_round_trip(tmp_path):
     np.testing.assert_array_equal(head2.weight, head.weight)
 
 
+def test_raw_checkpoint_with_a_zero_layer_dimension_is_a_format_error(tmp_path):
+    factors, head = fz.expand(SPEC, 1, seed=1, classes=3)
+    path = tmp_path / "task1_raw.npz"
+    ck.save_task_factors(path, SPEC, factors, head)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    arrays["layers"][0, 0] = 0
+    np.savez(path, **arrays)
+    with pytest.raises(FormatError, match="layer dimensions must be positive"):
+        ck.load_task_factors(path)
+
+
 def test_dense_models_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     models = DenseTaskModels(spec=SPEC)

@@ -80,6 +80,24 @@ def only_error_line(capsys) -> str:
     {"lambda_orth": -1},
     {"energy_e": 1.5},
     {"min_rank": 0},
+    {"beta1": 1.5},
+    {"beta1": -0.1},
+    {"beta2": 1.0},
+    {"eps": 0},
+    {"eps": -1e-8},
+    {"base_lr": 0},
+    {"base_lr": -1e-3},
+    {"base_lr": float("inf")},
+    {"base_lr": float("nan")},
+    {"lr_drop_factor": 0},
+    {"lr_drop_factor": -10},
+    {"dropout": "x"},
+    {"kernel": "x"},
+    {"kernel": None},
+    {"beta1": "x"},
+    {"stride": "x"},
+    {"channels": ["a"]},
+    {"tasks": "x"},
 ])
 def test_train_reports_bad_config_values_as_one_error_line(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "cfg.json", **overrides)

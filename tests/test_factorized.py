@@ -174,10 +174,18 @@ def test_graph_forward_features_equal_forward_features():
     weights = [(rng.normal(size=(s.c, s.q)) * 0.3).astype(np.float32) for s in spec.layers]
     x = rng.normal(size=(6, 3, 7, 7)).astype(np.float32)  # batch-major input
     g = ad.Graph()
-    feats = g.value(fz.graph_forward(g, [g.leaf(w) for w in weights], spec, g.leaf(x)))
+    feat_node = fz.graph_forward(g, [g.leaf(w) for w in weights], spec, g.leaf(x))
+    feats = g.value(feat_node)
     expected = fz.forward_features(weights, spec, x)
     assert feats.shape == expected.shape == (6, spec.head_input_dim)
     assert feats.tobytes() == expected.tobytes()
+    # tobytes is blind to strides, and the head gemm is not: served logits are
+    # the training logits only over C-contiguous features
+    assert expected.flags["C_CONTIGUOUS"]
+    head = fz.TaskHead(weight=(rng.normal(size=(spec.head_input_dim, 3)) * 0.1).astype(np.float32),
+                       bias=rng.normal(size=3).astype(np.float32))
+    logits = g.value(g.linear(feat_node, g.leaf(head.weight), g.leaf(head.bias)))
+    assert fz.run_network(weights, head, spec, x).tobytes() == logits.tobytes()
 
 
 # -- append / extract ---------------------------------------------------------------
