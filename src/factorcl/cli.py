@@ -46,6 +46,10 @@ TRAIN_KEYS = {
     "beta1", "beta2", "eps",
 }
 CONFIG_KEYS = STREAM_KEYS | NETWORK_KEYS | TRAIN_KEYS
+INT_KEYS = {
+    "tasks", "classes_per_task", "samples_per_class", "seed", "epochs", "batch_size",
+    "min_rank", "kernel",
+}
 
 
 def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
@@ -65,6 +69,13 @@ def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
     )
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    # a bool is an int to Python, and a float or string would only fail
+    # (or be truncated) deep inside stream generation or training
+    not_int = sorted(
+        k for k in INT_KEYS & set(blob) if not isinstance(blob[k], int) or isinstance(blob[k], bool)
+    )
+    if not_int:
+        raise ConfigError(f"config keys must be integers: {', '.join(not_int)}")
 
     try:
         return _specs_from(blob)
@@ -88,7 +99,7 @@ def _specs_from(blob: dict) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainCon
         channels=blob["channels"],
         in_channels=c,
         input_hw=(h, w),
-        kernel=int(blob.get("kernel", 3)),
+        kernel=blob.get("kernel", 3),
         stride=blob.get("stride", 1),
         padding=blob.get("padding", 1),
         dropout=float(blob.get("dropout", 0.0)),

@@ -7,9 +7,11 @@ per-layer bookkeeping elsewhere in the package.
 
 The SVD is a one-sided Jacobi iteration (accurate at the small sizes we
 care about), run in float64 internally and returned as float32.  A QR
-pre-reduction shrinks the working matrix to ``min(rows, cols)`` square
-and rotations are applied in round-robin batches of disjoint column
-pairs, which keeps the Python overhead flat in the matrix size.
+pre-reduction shrinks the working matrix to ``min(rows, cols)`` square.
+Each round of the round-robin schedule rotates a batch of disjoint column
+pairs: one Gram gemm gives every pair's angle, and one gemm with a
+matrix of 2x2 rotation blocks applies them all, so a round costs two
+gemms and a few scalar operations per pair.
 
 Everything here is a pure function over immutable inputs; results are
 deterministic for identical inputs.
@@ -17,6 +19,7 @@ deterministic for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,8 +64,13 @@ class SvdFactors:
 
 
 @lru_cache(maxsize=None)
-def _round_robin_pairs(n: int) -> tuple[np.ndarray, ...]:
-    """Round-robin schedule: n-1 rounds of disjoint column pairs covering all pairs."""
+def _jacobi_schedule(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Round-robin schedule: n-1 rounds of disjoint column pairs covering all pairs.
+
+    Each round is ``(take, put)``: flat indices into the ``n x n`` Gram of
+    its pairs' ``app``, ``aqq``, ``apq`` entries, and of the rotation's
+    ``[p,p]``, ``[q,q]``, ``[q,p]``, ``[p,q]`` entries.
+    """
     if n < 2:
         return ()
     players = list(range(n)) if n % 2 == 0 else list(range(n + 1))
@@ -77,7 +85,9 @@ def _round_robin_pairs(n: int) -> tuple[np.ndarray, ...]:
             if dummy is None or (arr[i] != dummy and arr[-1 - i] != dummy)
         ]
         if pairs:
-            rounds.append(np.array(pairs, dtype=np.intp))
+            p, q = np.array(pairs, dtype=np.intp).T
+            pp, qq, qp, pq = p * n + p, q * n + q, q * n + p, p * n + q
+            rounds.append((np.concatenate([pp, qq, pq]), np.concatenate([pp, qq, qp, pq])))
         arr = [arr[0], arr[-1]] + arr[1:-1]
     return tuple(rounds)
 
@@ -89,37 +99,35 @@ def _one_sided_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     norm underflowed are left as-is for the caller to repair.
     """
     m, n = a.shape
-    w = a.copy()
-    v = np.eye(n)
+    x = np.concatenate([a, np.eye(n)])  # [W; V]: one rotation moves both
     for _ in range(_JACOBI_MAX_SWEEPS):
         worst = 0.0
-        for pairs in _round_robin_pairs(n):
-            p, q = pairs[:, 0], pairs[:, 1]
-            wp, wq = w[:, p], w[:, q]
-            app = np.einsum("ij,ij->j", wp, wp)
-            aqq = np.einsum("ij,ij->j", wq, wq)
-            apq = np.einsum("ij,ij->j", wp, wq)
-            denom = np.sqrt(app * aqq)
-            rel = np.abs(apq) / np.where(denom > 0.0, denom, 1.0)
-            if rel.size:
-                worst = max(worst, float(rel.max()))
-            active = rel > _JACOBI_TOL
-            if not active.any():
+        for take, put in _jacobi_schedule(n):
+            # disjoint pairs: one Gram of the round's start serves them all
+            gram = x[:m].T @ x[:m]
+            entries = gram.take(take).tolist()
+            k = len(entries) // 3
+            cs, ss = [1.0] * k, [0.0] * k
+            for i in range(k):
+                app, aqq, apq = entries[i], entries[k + i], entries[2 * k + i]
+                denom = math.sqrt(app * aqq)
+                rel = abs(apq) / (denom if denom > 0.0 else 1.0)
+                worst = max(worst, rel)
+                if rel > _JACOBI_TOL:  # else the pair keeps an identity block
+                    zeta = (aqq - app) / (2.0 * apq)
+                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                    t = t if zeta != 0.0 else 1.0
+                    cs[i] = 1.0 / math.sqrt(1.0 + t * t)
+                    ss[i] = cs[i] * t
+            if not any(ss):
                 continue
-            zeta = (aqq[active] - app[active]) / (2.0 * apq[active])
-            t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            t = np.where(zeta == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            pa, qa = p[active], q[active]
-            wp, wq = w[:, pa], w[:, qa]
-            w[:, pa] = wp * c - wq * s
-            w[:, qa] = wp * s + wq * c
-            vp, vq = v[:, pa], v[:, qa]
-            v[:, pa] = vp * c - vq * s
-            v[:, qa] = vp * s + vq * c
+            # column p becomes c*w_p - s*w_q and column q becomes s*w_p + c*w_q
+            rot = np.eye(n)
+            rot.put(put, cs + cs + [-s for s in ss] + ss)
+            x = x @ rot
         if worst <= _JACOBI_TOL:
             break
+    w, v = x[:m], x[m:]
     sigma = np.sqrt(np.einsum("ij,ij->j", w, w))
     safe = np.where(sigma > 0.0, sigma, 1.0)
     return w / safe[None, :], sigma, v

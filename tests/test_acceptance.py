@@ -120,7 +120,7 @@ def test_criterion_01_zero_forgetting(runs5):
 
 
 def test_criterion_02_svd_correctness():
-    begin = time.perf_counter()
+    begin, cpu_begin = time.perf_counter(), time.process_time()
     rng = np.random.default_rng(202)
     worst_rec = worst_gram = 0.0
     sorted_ok = True
@@ -146,10 +146,11 @@ def test_criterion_02_svd_correctness():
         worst_gram = max(worst_gram, gram)
         sorted_ok = sorted_ok and bool(np.all(np.diff(f.sigma) <= 0))
     elapsed = time.perf_counter() - begin
+    cpu = time.process_time() - cpu_begin  # beside wall time: tells host load from slowness
     ok = worst_rec <= 1e-4 and worst_gram <= 1e-5 and sorted_ok and elapsed < 60
     verdict(2, "svd correctness", ok,
             f"worst rec {worst_rec:.2e} worst gram {worst_gram:.2e} "
-            f"sorted={sorted_ok} runtime={elapsed:.0f}s")
+            f"sorted={sorted_ok} runtime={elapsed:.0f}s cpu={cpu:.0f}s")
 
 
 def test_criterion_03_rank_k_error_identity():

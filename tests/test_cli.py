@@ -98,6 +98,14 @@ def only_error_line(capsys) -> str:
     {"stride": "x"},
     {"channels": ["a"]},
     {"tasks": "x"},
+    {"epochs": 2.5},
+    {"batch_size": 8.0},
+    {"tasks": 2.0},
+    {"samples_per_class": 10.5},
+    {"seed": "x"},
+    {"seed": None},
+    {"min_rank": True},
+    {"kernel": 3.0},
 ])
 def test_train_reports_bad_config_values_as_one_error_line(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "cfg.json", **overrides)

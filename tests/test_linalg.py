@@ -81,6 +81,36 @@ def test_svd_contract_random(rows, cols, seed, log_scale):
     assert reconstruction_error(m, f) <= 1e-4 * max(1.0, np.abs(m).max())
 
 
+def test_svd_sigma_matches_lapack_oracle():
+    # criterion 2's shapes and degenerate cases; np.linalg.svd is a
+    # test-only oracle for the spectrum, which no other check pins
+    rng = np.random.default_rng(2)
+    shapes = [(1, 1), (1, 600), (64, 1), (5, 3), (16, 72), (64, 600), (40, 9)]
+    for case in ("plain", "rank_deficient", "half_zero"):
+        for rows, cols in shapes:
+            m = (rng.normal(size=(rows, cols)) * rng.uniform(0.1, 10.0)).astype(np.float32)
+            if case == "rank_deficient" and rows > 2:
+                m[rows // 2:] = m[: rows - rows // 2]
+            if case == "half_zero":
+                m[:, : cols // 2] = 0.0
+            oracle = np.linalg.svd(m.astype(np.float64), compute_uv=False)
+            sigma = la.svd(m).sigma.astype(np.float64)
+            assert np.abs(sigma - oracle).max() <= 1e-5 * oracle[0], (case, rows, cols)
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([3.0, 2.0, 1.0]),
+    np.diag([2.0, 2.0, 0.5, 2.0]),
+    np.array([[0.0, 0.7, 0.0], [0.0, 0.0, 2.5], [1.3, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    np.array([[0.0, 1.5, 0.0], [0.0, 0.0, 1.5], [1.5, 0.0, 0.0]]).T,
+])
+def test_svd_of_orthogonal_columns_is_their_norms_bitwise(m):
+    # every pair starts converged, so no rotation may touch a column
+    m = m.astype(np.float32)
+    norms = np.sqrt((m.astype(np.float64) ** 2).sum(axis=0)).astype(np.float32)
+    np.testing.assert_array_equal(la.svd(m).sigma, np.sort(norms)[::-1])
+
+
 def test_svd_deterministic():
     m = random_matrix(6, 5, seed=11)
     f1, f2 = la.svd(m), la.svd(m)
