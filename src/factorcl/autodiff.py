@@ -52,11 +52,18 @@ compared against central finite differences evaluated by replaying the
 graph in float64.
 
 A graph is owned by one thread while it is being built, re-run and
-differentiated; independent graphs never share state.
+differentiated; independent graphs never share state.  Inference
+(:func:`conv2d_forward`) unfolds into scratch that is per thread: each
+thread holds at most the largest zero-padded input and the largest
+im2col matrix it has served, reused as views by its later calls, so
+threads serving concurrently never share a buffer and a steady serving
+thread allocates no column memory.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,22 +77,57 @@ DTYPE = np.float32
 HOYER_EPS = 1e-12
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+# This thread's inference scratch: one grow-only byte buffer per slot.
+_SCRATCH = threading.local()
+
+
+def _scratch(slot: str, shape: tuple[int, ...], like: np.ndarray) -> np.ndarray:
+    """This thread's ``slot`` buffer viewed as an uninitialised array of ``shape``.
+
+    The buffer is replaced by a larger one only when a call needs more
+    bytes than it holds, so a thread keeps at most the largest array it
+    has asked ``slot`` for, and each call overwrites what the last left.
+    """
+    nbytes = math.prod(shape) * like.itemsize
+    buf = getattr(_SCRATCH, slot, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_SCRATCH, slot, buf)
+    return np.ndarray(shape, like.dtype, buf)
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+           scratch: bool = False) -> np.ndarray:
     """Unfold batch-innermost ``(C, H, W, N)`` patches into a ``(C*kh*kw, Ho*Wo*N)`` matrix.
 
     Rows are ordered ``(channel, kh, kw)``, so they line up with a conv
     weight stored as its ``c x (n*kh*kw)`` matrix; columns are ordered
     ``(out row, out col, image)``.  Each kernel offset's shifted slice is
-    written straight into a ``(C, kh, kw, Ho, Wo, N)`` buffer, whose
+    written straight into a ``(C, kh, kw, Ho, Wo, N)`` array, whose
     reshape is the column matrix.
+
+    The zero-padded input and that array are fresh, or, with ``scratch``
+    (which only :func:`conv2d_forward` sets), views on this thread's
+    :func:`_scratch` slots ``"padded"`` and ``"cols"``; then the padded
+    input's border is zeroed over stale contents, and the result is a
+    view that the thread's next unfold overwrites.
     """
     c_in, h, w, n_im = x.shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
     if padding > 0:
-        padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=x.dtype)
-        padded[:, padding:padding + h, padding:padding + w] = x
+        p = padding
+        shape = (c_in, h + 2 * p, w + 2 * p, n_im)
+        if scratch:
+            padded = _scratch("padded", shape, x)
+            for k in range(p):  # border rows k and Hp-1-k, then border columns k and Wp-1-k
+                padded[:, k::h + 2 * (p - k) - 1] = 0
+                padded[:, :, k::w + 2 * (p - k) - 1] = 0
+        else:
+            padded = np.zeros(shape, dtype=x.dtype)
+        padded[:, p:p + h, p:p + w] = x
         x = padded
-    cols = np.empty((c_in, kh, kw, out_h, out_w, n_im), dtype=x.dtype)
+    shape = (c_in, kh, kw, out_h, out_w, n_im)
+    cols = _scratch("cols", shape, x) if scratch else np.empty(shape, dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
@@ -128,9 +170,12 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
                    stride: int = 1, padding: int = 0) -> np.ndarray:
     """Graph-free convolution for inference; same arithmetic as the conv2d op.
 
-    ``x`` is batch-innermost ``(C, H, W, N)`` and so is the result.
+    ``x`` is batch-innermost ``(C, H, W, N)`` and so is the result.  The
+    padded input and the im2col columns live in this thread's scratch,
+    which the next call on the thread overwrites; the result is the
+    gemm's fresh output, so nothing returned aliases the scratch.
     """
-    return _conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding})[0]
+    return _conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding}, True)[0]
 
 
 def gram_deviation(x: np.ndarray):
@@ -199,17 +244,19 @@ def _f_softmax_ce(v, aux):
     return (lse - z[np.arange(logits.shape[0]), labels]).mean()
 
 
-def _conv2d(v, aux):
+def _conv2d(v, aux, scratch: bool = False):
     """The one conv forward formula: the output and the im2col columns it used.
 
     ``x`` and the output are batch-innermost, so the output is the gemm
-    result ``(c_out, Ho*Wo*N)`` reshaped, without a copy.
+    result ``(c_out, Ho*Wo*N)`` reshaped, without a copy.  The tape keeps
+    the columns in the node's ``aux`` for its backward, so it unfolds into
+    fresh arrays; ``scratch`` is :func:`im2col`'s, for inference alone.
     """
     w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     out_h, out_w = conv_output_size(x.shape[1], x.shape[2], kh, kw, stride, padding)
-    cols = im2col(x, kh, kw, stride, padding)
+    cols = im2col(x, kh, kw, stride, padding, scratch)
     out = (w @ cols).reshape(w.shape[0], out_h, out_w, x.shape[3])
     return out, {"cols": cols}
 

@@ -347,8 +347,13 @@ def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
 
     Takes batch-major ``(N, C, H, W)`` input and returns C-contiguous
     ``(N, head_input_dim)`` features; the conv stack runs batch-innermost
-    ``(C, H, W, N)`` in between.
+    ``(C, H, W, N)`` in between.  An input whose channels or image size
+    are not the spec's is a :class:`ShapeError`: a strided stack could
+    otherwise map a smaller image to the head's width.
     """
+    got, expected = np.shape(x), (spec.layers[0].n, *spec.input_hw)
+    if len(got) != 4 or got[1:] != expected:
+        raise ShapeError(f"input must be (N, {', '.join(map(str, expected))}), got {got}")
     h = np.ascontiguousarray(np.transpose(x, (1, 2, 3, 0)), dtype=DTYPE)
     for l, shape in enumerate(spec.layers):
         h = ad.conv2d_forward(

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -139,6 +141,104 @@ def test_conv2d_weight_gradient_sums_over_batch_major_columns(stride, padding):
         for c, i, j in itertools.product(range(c_in), range(kh), range(kw)):
             cols_bm[(c * kh + i) * kw + j, col] = xp[c, oy * stride + i, ox * stride + j, n]
     assert gw.tobytes() == (g_bm @ cols_bm.T).tobytes()
+
+
+# -- inference scratch -------------------------------------------------------------
+
+
+def _serving_net(seed):
+    """A strided, padded two-layer net: weights, a head and batch-major inputs."""
+    spec = fz.NetworkSpec.build((4, 5), in_channels=3, input_hw=(7, 7), stride=(1, 2))
+    rng = np.random.default_rng(seed)
+    weights = [(rng.normal(size=(s.c, s.q)) * 0.3).astype(np.float32) for s in spec.layers]
+    head = fz.TaskHead(weight=(rng.normal(size=(spec.head_input_dim, 3)) * 0.1).astype(np.float32),
+                       bias=rng.normal(size=3).astype(np.float32))
+    batches = [rng.normal(size=(n, 3, 7, 7)).astype(np.float32) for n in (256, 1, 7, 33)]
+    return spec, weights, head, batches
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv2d_forward_matches_the_tape_formula_bitwise(padding, stride, dtype):
+    """Scratch buffers left by a larger, smaller or other-dtype batch change no bit."""
+    c_in, c_out, kh, kw = 3, 4, 3, 3
+    weight = rng_array((c_out, c_in * kh * kw), seed=50).astype(dtype)
+    aux = {"kernel": (c_in, kh, kw), "stride": stride, "padding": padding}
+    for n_im in (256, 1, 7, 256):
+        x = rng_array((c_in, 6, 5, n_im), seed=51 + n_im, offset=1.0).astype(dtype)
+        got = ad.conv2d_forward(weight, x, (c_in, kh, kw), stride, padding)
+        want = ad._conv2d([weight, x], aux)[0]  # the tape's formula, fresh buffers
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_conv2d_forward_zeroes_a_border_wider_than_the_image():
+    weight = rng_array((2, 2 * 3 * 3), seed=58)
+    aux = {"kernel": (2, 3, 3), "stride": 1, "padding": 3}
+    x = rng_array((2, 1, 2, 5), seed=59)  # padding 3 around a 1x2 image
+    ad._scratch("padded", (4096,), weight)[:] = np.nan  # stale contents
+    got = ad.conv2d_forward(weight, x, (2, 3, 3), 1, 3)
+    assert got.tobytes() == ad._conv2d([weight, x], aux)[0].tobytes()
+
+
+def test_inference_results_survive_later_calls():
+    spec, weights, head, batches = _serving_net(seed=52)
+    x = batches[0]
+    conv = ad.conv2d_forward(weights[0], batch_innermost(x), (3, 3, 3), 1, 1)
+    feats = fz.forward_features(weights, spec, x)
+    logits = fz.run_network(weights, head, spec, x)
+    kept = [a.copy() for a in (conv, feats, logits)]
+    for later in batches:  # each overwrites this thread's scratch
+        ad.conv2d_forward(weights[0], batch_innermost(later), (3, 3, 3), 1, 1)
+        fz.run_network(weights, head, spec, later)
+    for now, then in zip((conv, feats, logits), kept):
+        assert now.tobytes() == then.tobytes()
+
+
+def test_same_geometry_reuses_the_column_memory(monkeypatch):
+    unfolded = []
+    original = ad.im2col
+    monkeypatch.setattr(ad, "im2col", lambda *args: unfolded.append(original(*args)) or unfolded[-1])
+    weight = rng_array((4, 3 * 3 * 3), seed=53)
+    for seed in (54, 55):
+        ad.conv2d_forward(weight, rng_array((3, 6, 6, 8), seed=seed), (3, 3, 3), 1, 1)
+    assert np.shares_memory(unfolded[0], unfolded[1])
+    # the tape keeps each conv node's columns for its backward: fresh, never scratch
+    g = ad.Graph()
+    x = g.leaf(rng_array((3, 6, 6, 8), seed=56))
+    node = g.nodes[g.conv2d(g.leaf(weight), x, kernel=(3, 3, 3), stride=1, padding=1)]
+    assert node.aux["cols"] is unfolded[2]
+    assert not np.shares_memory(unfolded[2], unfolded[1])
+
+
+def test_threads_serving_mixed_batches_get_single_thread_bits():
+    spec, weights, head, batches = _serving_net(seed=57)
+    refs = [fz.run_network(weights, head, spec, x).tobytes() for x in batches]
+    rounds = 20
+    served, wrong = [0] * 4, []
+
+    def serve(k):
+        for _ in range(rounds):
+            for i in range(len(batches)):
+                j = (k + i) % len(batches)  # each thread starts at another batch size
+                if fz.run_network(weights, head, spec, batches[j]).tobytes() != refs[j]:
+                    wrong.append((k, j))
+                served[k] += 1
+
+    threads = [threading.Thread(target=serve, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert served == [rounds * len(batches)] * 4
 
 
 def test_forward_matches_pure_recomputation():

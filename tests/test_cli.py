@@ -5,6 +5,7 @@ import pytest
 
 from factorcl import checkpoint as ck
 from factorcl.cli import load_config, main
+from factorcl.datasets import TaskDataset
 from factorcl.errors import ConfigError
 from factorcl.metrics import MetricsReport, compute_metrics
 
@@ -165,6 +166,22 @@ def test_eval_rejects_out_of_range_task(train_run, capsys):
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_eval_reports_data_of_the_wrong_geometry_as_one_error_line(train_run, tmp_path, capsys):
+    data = ck.load_dataset(train_run / "task1_data.npz")
+    three = np.concatenate([data.test_x, data.test_x[:, :1]], axis=1)  # 3 channels, model has 2
+    ck.save_dataset(tmp_path / "three.npz", TaskDataset(
+        train_x=three, train_y=data.test_y, test_x=three, test_y=data.test_y,
+        classes=data.classes,
+    ))
+    code = main([
+        "eval", "--model", str(train_run / "space.cacl"),
+        "--task", "1", "--data", str(tmp_path / "three.npz"),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_eval_reads_dense_models(tmp_path, capsys):

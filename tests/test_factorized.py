@@ -3,6 +3,7 @@ import pytest
 
 from factorcl import autodiff as ad
 from factorcl import factorized as fz
+from factorcl import trainer as tr
 from factorcl.errors import NumericError, ShapeError
 from factorcl.linalg import random_orthonormal
 
@@ -186,6 +187,22 @@ def test_graph_forward_features_equal_forward_features():
                        bias=rng.normal(size=3).astype(np.float32))
     logits = g.value(g.linear(feat_node, g.leaf(head.weight), g.leaf(head.bias)))
     assert fz.run_network(weights, head, spec, x).tobytes() == logits.tobytes()
+
+
+def test_serving_rejects_inputs_of_the_wrong_geometry():
+    # strides (1, 2) map a 6x5 image to the same 3x3 features as the 6x6 one
+    spec = fz.NetworkSpec.build((3, 3), in_channels=2, input_hw=(6, 6), stride=(1, 2))
+    pruned, head = make_pruned(spec, 1, seed=17, ranks=(2, 2)), make_head(spec, 3, seed=18)
+    space = fz.append(fz.empty_space(spec), pruned, head)
+    dense = tr.DenseTaskModels(spec, weights=[dense_oracle(pruned)], heads=[head])
+    assert fz.predict_logits(space, 1, np.zeros((4, 2, 6, 6), np.float32)).shape == (4, 3)
+    assert dense.predict_logits(1, np.zeros((4, 2, 6, 6), np.float32)).shape == (4, 3)
+    for shape in [(4, 2, 6, 5), (4, 3, 6, 6), (4, 2, 5, 6), (2, 6, 6), (4, 2, 6, 6, 1)]:
+        x = np.zeros(shape, np.float32)
+        with pytest.raises(ShapeError):
+            fz.predict_logits(space, 1, x)
+        with pytest.raises(ShapeError):
+            dense.predict_logits(1, x)
 
 
 # -- append / extract ---------------------------------------------------------------
