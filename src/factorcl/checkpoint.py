@@ -1,27 +1,39 @@
 """Model and artifact serialization.
 
-Shared spaces use a versioned little-endian binary layout (magic
-"CACL") so round-trips are bitwise lossless:
+Models use two versioned little-endian binary layouts, so round-trips
+are bitwise lossless.  Shared spaces (magic "CACL"):
 
-    header   magic "CACL" | version u32 | flags u32 (bit0 = isolated) | L u32
-    metadata per layer c,n,h,w u32x4; per layer stride,padding u32x2;
-             input_h, input_w, head_input_dim u32; T u32;
-             rank table L x T u32 (layer-major, cumulative per task)
+    header   magic "CACL" | version u32 | flags u32 (bit0 = isolated)
+    geometry L u32; per layer c,n,h,w u32x4; per layer stride,padding
+             u32x2; input_h, input_w, head_input_dim u32
+    tasks    T u32; rank table L x T u32 (layer-major, cumulative per task)
     payload  per layer U (c x R), sigma (R), V (q x R) as IEEE-754
              32-bit reals in column order, R = final cumulative rank
     heads    per task: blob_len u32 | classes u32 | weight (column
              order) | bias
 
-A file is parsed completely before any model object is constructed, so
-a corrupt or truncated file, or one holding a non-finite real, raises
-FormatError (with the failing byte offset) and never yields partial state.
-Serving builds each layer's dense c x q weight, so a file whose layers
-sum to over MAX_DENSE_WEIGHTS of them is rejected as they are read: a
-zero-rank file of a hundred bytes could otherwise ask for gigabytes.
+Dense per-task models, the upper-bound baseline (magic "CACD"):
 
-Task checkpoints, dense reference models, and datasets are plain npz
-archives; their consumers do not need bit-level guarantees beyond what
-npz already provides.
+    header   magic "CACD" | version u32
+    geometry as above
+    tasks    T u32
+    payload  per task, per layer the dense c x q weight, column order
+    heads    as above
+
+Both layouts share one writer and one reader for the geometry block
+(the reader also checks that the geometry is consistent) and for the
+head blobs, and one finiteness check, so the two cannot drift apart.  A
+file is parsed completely before any model is constructed, so a corrupt
+or truncated file, or one holding a non-finite real, raises FormatError
+(with the failing byte offset) and never yields partial state.  Serving
+builds each layer's dense c x q weight, so a file whose layers sum to
+over MAX_DENSE_WEIGHTS of them is rejected as they are read: a zero-rank
+file of a hundred bytes could otherwise ask for gigabytes.  Loaded
+arrays are owned, writable and C-contiguous.
+
+Raw task checkpoints and datasets are plain npz archives.  A raw task
+checkpoint is checked on load against its own geometry: shapes, and
+that every value is finite.
 """
 
 from __future__ import annotations
@@ -38,50 +50,38 @@ from .linalg import DTYPE
 from .trainer import DenseTaskModels
 
 MAGIC = b"CACL"
+DENSE_MAGIC = b"CACD"
 VERSION = 1
 _FLAG_ISOLATED = 1
 # Cap on the sum over layers of c * q: 64 MiB of float32 dense weights.
 MAX_DENSE_WEIGHTS = 1 << 24
 
 
+# -- shared writers ---------------------------------------------------------------------
+
+
 def _f32_column_bytes(a: np.ndarray) -> bytes:
     return np.asarray(a, dtype="<f4").tobytes(order="F")
 
 
-def space_to_bytes(shared: SharedSpace) -> bytes:
-    spec = shared.spec
-    n_layers = spec.num_layers
-    t = shared.num_tasks
-    for l in range(n_layers):
-        width = shared.rank_table[l][-1] if t else 0
-        if shared.total_width(l) != width:
-            raise ValueError(
-                f"layer {l}: stored width {shared.total_width(l)} does not "
-                f"match final cumulative rank {width}"
-            )
-
-    flags = _FLAG_ISOLATED if shared.isolated else 0
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<3I", VERSION, flags, n_layers)
+def _geometry_bytes(spec: NetworkSpec) -> bytes:
+    words = [spec.num_layers]
     for s in spec.layers:
-        out += struct.pack("<4I", s.c, s.n, s.h, s.w)
-    for l in range(n_layers):
-        out += struct.pack("<2I", spec.strides[l], spec.paddings[l])
-    out += struct.pack("<3I", spec.input_hw[0], spec.input_hw[1], spec.head_input_dim)
-    out += struct.pack("<I", t)
-    for l in range(n_layers):
-        out += struct.pack(f"<{t}I", *shared.rank_table[l])
-    for l in range(n_layers):
-        out += _f32_column_bytes(shared.u[l])
-        out += _f32_column_bytes(shared.sigma[l])
-        out += _f32_column_bytes(shared.v[l])
-    for head in shared.heads:
-        body = struct.pack("<I", head.classes)
-        body += _f32_column_bytes(head.weight)
-        body += _f32_column_bytes(head.bias)
-        out += struct.pack("<I", len(body)) + body
-    return bytes(out)
+        words += (s.c, s.n, s.h, s.w)
+    for pair in zip(spec.strides, spec.paddings):
+        words += pair
+    words += (*spec.input_hw, spec.head_input_dim)
+    return struct.pack(f"<{len(words)}I", *words)
+
+
+def _head_bytes(head: TaskHead) -> bytes:
+    body = struct.pack("<I", head.classes)
+    body += _f32_column_bytes(head.weight)
+    body += _f32_column_bytes(head.bias)
+    return struct.pack("<I", len(body)) + body
+
+
+# -- shared readers ---------------------------------------------------------------------
 
 
 class _Reader:
@@ -91,42 +91,52 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
         if self.pos + n > len(self.data):
             raise FormatError(
                 f"file ends inside a {n}-byte field", offset=self.pos
             )
-        raw = self.data[self.pos : self.pos + n]
+        at = self.pos
         self.pos += n
-        return raw
+        return at
+
+    def take(self, n: int) -> bytes:
+        at = self._advance(n)
+        return bytes(self.data[at : at + n])
 
     def u32(self, count: int = 1):
-        vals = struct.unpack(f"<{count}I", self.take(4 * count))
+        vals = struct.unpack_from(f"<{count}I", self.data, self._advance(4 * count))
         return vals[0] if count == 1 else vals
 
+    def _f32(self, n: int) -> np.ndarray:
+        # a view of the blob, read-only: callers copy it exactly once
+        return np.frombuffer(self.data, dtype="<f4", count=n, offset=self._advance(4 * n))
+
     def f32_matrix(self, rows: int, cols: int) -> np.ndarray:
-        raw = self.take(4 * rows * cols)
-        arr = np.frombuffer(raw, dtype="<f4").reshape((rows, cols), order="F")
-        return arr.astype(DTYPE).copy(order="C")
+        column_order = self._f32(rows * cols).reshape((rows, cols), order="F")
+        return np.array(column_order, dtype=DTYPE, order="C")
 
     def f32_vector(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * n), dtype="<f4").astype(DTYPE).copy()
+        return np.array(self._f32(n), dtype=DTYPE)
+
+    def expect_end(self) -> None:
+        if self.pos != len(self.data):
+            raise FormatError("trailing bytes after model payload", offset=self.pos)
 
 
-def space_from_bytes(data: bytes) -> SharedSpace:
-    r = _Reader(data)
-    if r.take(4) != MAGIC:
-        raise FormatError("bad magic, not a shared-space file", offset=0)
+def _read_header(r: _Reader, magic: bytes, kind: str) -> None:
+    if r.take(4) != magic:
+        raise FormatError(f"bad magic, not a {kind} file", offset=0)
     version = r.u32()
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    flags = r.u32()
-    if flags & ~_FLAG_ISOLATED:
-        raise FormatError(f"unknown flag bits 0x{flags:x}", offset=8)
+
+
+def _read_geometry(r: _Reader) -> NetworkSpec:
+    at = r.pos
     n_layers = r.u32()
     if n_layers == 0:
-        raise FormatError("layer count must be positive", offset=12)
-
+        raise FormatError("layer count must be positive", offset=at)
     layers = []
     dense = 0
     for l in range(n_layers):
@@ -147,55 +157,10 @@ def space_from_bytes(data: bytes) -> SharedSpace:
             raise FormatError(f"layer {l} stride must be positive", offset=at)
         strides.append(stride)
         paddings.append(padding)
-    geom_at = r.pos
+    at = r.pos
     input_h, input_w, head_dim = r.u32(3)
-    tasks_at = r.pos
-    t = r.u32()
-    rank_table = []
-    for l in range(n_layers):
-        at = r.pos
-        row = r.u32(t) if t else ()
-        row = (row,) if isinstance(row, int) else tuple(row)
-        if any(b < a for a, b in zip((0,) + row, row)):
-            raise FormatError(f"layer {l} rank table not non-decreasing", offset=at)
-        rank_table.append(row)
-
-    payload_at = r.pos
-    u, sigma, v = [], [], []
-    for l, shape in enumerate(layers):
-        width = rank_table[l][-1] if t else 0
-        u.append(r.f32_matrix(shape.c, width))
-        sigma.append(r.f32_vector(width))
-        v.append(r.f32_matrix(shape.q, width))
-
-    heads = []
-    for _ in range(t):
-        at = r.pos
-        blob_len = r.u32()
-        classes = r.u32()
-        expected = 4 * (1 + classes * (head_dim + 1))
-        if blob_len != expected:
-            raise FormatError(
-                f"head blob length {blob_len} does not match {expected}", offset=at
-            )
-        if classes == 0:
-            raise FormatError("head has zero classes", offset=at + 4)
-        weight = r.f32_matrix(head_dim, classes)
-        bias = r.f32_vector(classes)
-        heads.append(TaskHead(weight=weight, bias=bias))
-    if r.pos != len(data):
-        raise FormatError("trailing bytes after model payload", offset=r.pos)
-    # One pass over every word from the first factor to the end.  Besides
-    # f32 values this covers each head's blob length and class count, u32
-    # words that stay finite read as f32: a word is non-finite only at or
-    # above 0x7F800000, and a head that long would need a file of gigabytes.
-    finite = np.isfinite(np.frombuffer(data, dtype="<f4", offset=payload_at))
-    if not finite.all():
-        bad = payload_at + 4 * int(np.argmin(finite))
-        raise FormatError("non-finite value in model payload", offset=bad)
-
     try:
-        spec = NetworkSpec(
+        return NetworkSpec(
             layers=tuple(layers),
             input_hw=(input_h, input_w),
             head_input_dim=head_dim,
@@ -205,9 +170,98 @@ def space_from_bytes(data: bytes) -> SharedSpace:
         )
     except ValueError as exc:
         # geometry fields are individually valid but mutually inconsistent
-        raise FormatError(f"inconsistent geometry: {exc}", offset=geom_at) from exc
-    if t == 0 and any(rank_table[l] for l in range(n_layers)):
-        raise FormatError("rank table present with zero tasks", offset=tasks_at)
+        raise FormatError(f"inconsistent geometry: {exc}", offset=at) from exc
+
+
+def _read_head(r: _Reader, head_dim: int) -> TaskHead:
+    at = r.pos
+    blob_len = r.u32()
+    classes = r.u32()
+    expected = 4 * (1 + classes * (head_dim + 1))
+    if blob_len != expected:
+        raise FormatError(
+            f"head blob length {blob_len} does not match {expected}", offset=at
+        )
+    if classes == 0:
+        raise FormatError("head has zero classes", offset=at + 4)
+    weight = r.f32_matrix(head_dim, classes)
+    bias = r.f32_vector(classes)
+    return TaskHead(weight=weight, bias=bias)
+
+
+def _check_finite(data: bytes, payload_at: int) -> None:
+    """One pass over every word from ``payload_at`` to the end of the file.
+
+    Besides f32 values this covers each head's blob length and class
+    count, u32 words that stay finite read as f32: a word is non-finite
+    only at or above 0x7F800000, and a head that long would need a file
+    of gigabytes.
+    """
+    finite = np.isfinite(np.frombuffer(data, dtype="<f4", offset=payload_at))
+    if not finite.all():
+        bad = payload_at + 4 * int(np.argmin(finite))
+        raise FormatError("non-finite value in model payload", offset=bad)
+
+
+# -- shared spaces (.cacl) -----------------------------------------------------------
+
+
+def space_to_bytes(shared: SharedSpace) -> bytes:
+    spec = shared.spec
+    n_layers = spec.num_layers
+    t = shared.num_tasks
+    for l in range(n_layers):
+        width = shared.rank_table[l][-1] if t else 0
+        if shared.total_width(l) != width:
+            raise ValueError(
+                f"layer {l}: stored width {shared.total_width(l)} does not "
+                f"match final cumulative rank {width}"
+            )
+
+    flags = _FLAG_ISOLATED if shared.isolated else 0
+    out = bytearray()
+    out += MAGIC
+    out += struct.pack("<2I", VERSION, flags)
+    out += _geometry_bytes(spec)
+    out += struct.pack("<I", t)
+    for l in range(n_layers):
+        out += struct.pack(f"<{t}I", *shared.rank_table[l])
+    for l in range(n_layers):
+        out += _f32_column_bytes(shared.u[l])
+        out += _f32_column_bytes(shared.sigma[l])
+        out += _f32_column_bytes(shared.v[l])
+    for head in shared.heads:
+        out += _head_bytes(head)
+    return bytes(out)
+
+
+def space_from_bytes(data: bytes) -> SharedSpace:
+    r = _Reader(data)
+    _read_header(r, MAGIC, "shared-space")
+    flags = r.u32()
+    if flags & ~_FLAG_ISOLATED:
+        raise FormatError(f"unknown flag bits 0x{flags:x}", offset=8)
+    spec = _read_geometry(r)
+    t = r.u32()
+    rank_table = []
+    for l in range(spec.num_layers):
+        at = r.pos
+        row = r.u32(t) if t else ()
+        row = (row,) if isinstance(row, int) else tuple(row)
+        if any(b < a for a, b in zip((0,) + row, row)):
+            raise FormatError(f"layer {l} rank table not non-decreasing", offset=at)
+        rank_table.append(row)
+
+    payload_at = r.pos
+    u, sigma, v = [], [], []
+    for l, shape in enumerate(spec.layers):
+        width = rank_table[l][-1] if t else 0
+        u.append(r.f32_matrix(shape.c, width))
+        sigma.append(r.f32_vector(width))
+        v.append(r.f32_matrix(shape.q, width))
+    heads = [_read_head(r, spec.head_input_dim) for _ in range(t)]
+    r.expect_end()
+    _check_finite(data, payload_at)
     return SharedSpace(
         spec=spec,
         u=tuple(u),
@@ -228,6 +282,67 @@ def save_space(path, shared: SharedSpace) -> None:
 def load_space(path) -> SharedSpace:
     with open(path, "rb") as f:
         return space_from_bytes(f.read())
+
+
+# -- dense task models (.cacd) -------------------------------------------------------
+
+
+def dense_to_bytes(models: DenseTaskModels) -> bytes:
+    spec = models.spec
+    shapes = [(s.c, s.q) for s in spec.layers]
+    if len(models.weights) != models.num_tasks:
+        raise ValueError(
+            f"{len(models.weights)} weight lists for {models.num_tasks} heads"
+        )
+    for t, (ws, head) in enumerate(zip(models.weights, models.heads), 1):
+        got = [w.shape for w in ws]
+        if got != shapes:
+            raise ValueError(f"task {t}: weights {got} do not fit the layers {shapes}")
+        if head.weight.shape[0] != spec.head_input_dim or head.bias.shape != (head.classes,):
+            raise ValueError(f"task {t}: head weight {head.weight.shape} / bias "
+                             f"{head.bias.shape} do not fit {spec.head_input_dim} inputs")
+
+    out = bytearray()
+    out += DENSE_MAGIC
+    out += struct.pack("<I", VERSION)
+    out += _geometry_bytes(spec)
+    out += struct.pack("<I", models.num_tasks)
+    for ws in models.weights:
+        for w in ws:
+            out += _f32_column_bytes(w)
+    for head in models.heads:
+        out += _head_bytes(head)
+    return bytes(out)
+
+
+def dense_from_bytes(data: bytes) -> DenseTaskModels:
+    r = _Reader(data)
+    _read_header(r, DENSE_MAGIC, "dense-model")
+    spec = _read_geometry(r)
+    t = r.u32()
+    payload_at = r.pos
+    # each weight holds at least one word, so a forged T ends at the file's end
+    weights = [[r.f32_matrix(s.c, s.q) for s in spec.layers] for _ in range(t)]
+    heads = [_read_head(r, spec.head_input_dim) for _ in range(t)]
+    r.expect_end()
+    _check_finite(data, payload_at)
+    return DenseTaskModels(spec=spec, weights=weights, heads=heads)
+
+
+def save_dense_models(path_or_binary_file, models: DenseTaskModels) -> None:
+    blob = dense_to_bytes(models)
+    if hasattr(path_or_binary_file, "write"):
+        path_or_binary_file.write(blob)
+        return
+    with open(path_or_binary_file, "wb") as f:
+        f.write(blob)
+
+
+def load_dense_models(path_or_binary_file) -> DenseTaskModels:
+    if hasattr(path_or_binary_file, "read"):
+        return dense_from_bytes(path_or_binary_file.read())
+    with open(path_or_binary_file, "rb") as f:
+        return dense_from_bytes(f.read())
 
 
 # -- npz artifacts -------------------------------------------------------------------
@@ -263,8 +378,25 @@ def _spec_from_arrays(blob) -> NetworkSpec:
             paddings=tuple(int(v) for v in blob["paddings"]),
             dropout_rates=(0.0,) * len(layers),
         )
-    except ValueError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"stored network geometry is inconsistent: {exc}") from exc
+
+
+def _real_array(blob, name: str, shape: tuple) -> np.ndarray:
+    """``blob[name]`` as float32, checked: ``shape`` (None matches any length k), all finite."""
+    if name not in blob:
+        raise FormatError(f"task checkpoint has no array {name}")
+    a = blob[name]
+    if a.ndim != len(shape) or any(want not in (None, got) for got, want in zip(a.shape, shape)):
+        want = ", ".join("k" if d is None else str(d) for d in shape)
+        raise FormatError(f"{name} has shape {a.shape}, expected ({want}{',' * (len(shape) == 1)})")
+    if a.dtype.kind != "f":
+        raise FormatError(f"{name} holds {a.dtype} values, not reals")
+    with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
+        out = a.astype(DTYPE)
+    if not np.isfinite(out).all():
+        raise FormatError(f"{name} holds a non-finite value")
+    return out
 
 
 def save_task_factors(path, spec: NetworkSpec, factors: TaskFactors, head: TaskHead) -> None:
@@ -281,48 +413,37 @@ def save_task_factors(path, spec: NetworkSpec, factors: TaskFactors, head: TaskH
 
 
 def load_task_factors(path) -> tuple[NetworkSpec, TaskFactors, TaskHead]:
+    """Read a raw task checkpoint, checked against its own geometry.
+
+    Each layer holds a 1-D ``sigma{l}`` of some rank r, ``u{l}`` of c x r
+    and ``v{l}`` of q x r; the head is head_input_dim x classes plus a
+    bias of ``classes``.  A missing array, another shape or a non-finite
+    value raises FormatError naming the array, and so do layers whose
+    dense weights sum to over MAX_DENSE_WEIGHTS.
+    """
     with _open_npz(path) as blob:
         if "task" not in blob or "head_w" not in blob:
             raise FormatError("npz file is not a task checkpoint")
         spec = _spec_from_arrays(blob)
-        factors = TaskFactors(
-            task=int(blob["task"]),
-            u=[blob[f"u{l}"].astype(DTYPE) for l in range(spec.num_layers)],
-            sigma=[blob[f"sigma{l}"].astype(DTYPE) for l in range(spec.num_layers)],
-            v=[blob[f"v{l}"].astype(DTYPE) for l in range(spec.num_layers)],
-        )
-        head = TaskHead(weight=blob["head_w"].astype(DTYPE), bias=blob["head_b"].astype(DTYPE))
-    return spec, factors, head
-
-
-def save_dense_models(path, models: DenseTaskModels) -> None:
-    arrays = _spec_arrays(models.spec)
-    arrays["tasks"] = np.array(models.num_tasks, dtype=np.int64)
-    for t in range(models.num_tasks):
-        for l in range(models.spec.num_layers):
-            arrays[f"w{t}_{l}"] = models.weights[t][l]
-        arrays[f"head_w{t}"] = models.heads[t].weight
-        arrays[f"head_b{t}"] = models.heads[t].bias
-    np.savez(path, **arrays)
-
-
-def load_dense_models(path) -> DenseTaskModels:
-    with _open_npz(path) as blob:
-        if "tasks" not in blob:
-            raise FormatError("npz file is not a dense-model checkpoint")
-        spec = _spec_from_arrays(blob)
-        models = DenseTaskModels(spec=spec)
-        for t in range(int(blob["tasks"])):
-            models.weights.append(
-                [blob[f"w{t}_{l}"].astype(DTYPE) for l in range(spec.num_layers)]
-            )
-            models.heads.append(
-                TaskHead(
-                    weight=blob[f"head_w{t}"].astype(DTYPE),
-                    bias=blob[f"head_b{t}"].astype(DTYPE),
-                )
-            )
-    return models
+        # compress builds each layer's dense weight, and rank-0 factors cost no bytes
+        dense = sum(s.c * s.q for s in spec.layers)
+        if dense > MAX_DENSE_WEIGHTS:
+            raise FormatError(f"layers need {dense} dense weights, over the cap of "
+                              f"{MAX_DENSE_WEIGHTS}")
+        task = blob["task"]
+        if task.shape != () or task.dtype.kind not in "iu" or task < 1:
+            raise FormatError(f"task must be a positive integer, got {task!r}")
+        u, sigma, v = [], [], []
+        for l, s in enumerate(spec.layers):
+            sigma.append(_real_array(blob, f"sigma{l}", (None,)))
+            r = sigma[-1].shape[0]
+            u.append(_real_array(blob, f"u{l}", (s.c, r)))
+            v.append(_real_array(blob, f"v{l}", (s.q, r)))
+        weight = _real_array(blob, "head_w", (spec.head_input_dim, None))
+        if weight.shape[1] == 0:
+            raise FormatError("head_w has no classes")
+        bias = _real_array(blob, "head_b", (weight.shape[1],))
+    return spec, TaskFactors(task=int(task), u=u, sigma=sigma, v=v), TaskHead(weight, bias)
 
 
 def save_dataset(path, data: TaskDataset) -> None:

@@ -128,7 +128,7 @@ def cmd_train(args) -> int:
     model, report = tr.run_continual(stream, spec, cfg, raw_sink=raw)
 
     if cfg.mode == "baseline_ub":
-        ck.save_dense_models(out / "models.npz", model)
+        ck.save_dense_models(out / "models.cacd", model)
     else:
         ck.save_space(out / "space.cacl", model)
         for t, (factors, head) in enumerate(raw, 1):
@@ -143,13 +143,17 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
-    with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == ck.MAGIC:
-        space = ck.load_space(path)
+    blob = Path(path).read_bytes()
+    if blob[:4] == ck.MAGIC:
+        space = ck.space_from_bytes(blob)
         return lambda t, x: fz.predict_logits(space, t, x), space.num_tasks
-    models = ck.load_dense_models(path)
-    return models.predict_logits, models.num_tasks
+    if blob[:4] == ck.DENSE_MAGIC:
+        models = ck.dense_from_bytes(blob)
+        return models.predict_logits, models.num_tasks
+    raise FormatError(
+        f"{path} is neither a shared space ({ck.MAGIC.decode()}) nor dense "
+        f"models ({ck.DENSE_MAGIC.decode()})", offset=0
+    )
 
 
 def cmd_eval(args) -> int:
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate one task of a saved model")
-    p.add_argument("--model", required=True, help="space.cacl or models.npz file")
+    p.add_argument("--model", required=True, help="space.cacl or models.cacd file")
     p.add_argument("--task", required=True, type=int, help="1-based task id")
     p.add_argument("--data", required=True, help="task dataset npz file")
     p.set_defaults(func=cmd_eval)

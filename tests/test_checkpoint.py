@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -25,6 +26,32 @@ def random_space(seed=0, tasks=2, isolated=False, spec=SPEC) -> fz.SharedSpace:
         head.weight[:] = rng.normal(size=head.weight.shape).astype(np.float32)
         space = fz.append(space, factors, head)
     return space
+
+
+def random_dense(seed=0, tasks=2, spec=SPEC) -> DenseTaskModels:
+    rng = np.random.default_rng(seed)
+    models = DenseTaskModels(spec=spec)
+    for _ in range(tasks):
+        classes = int(rng.integers(1, 5))
+        models.weights.append(
+            [rng.normal(size=(s.c, s.q)).astype(np.float32) for s in spec.layers]
+        )
+        models.heads.append(fz.TaskHead(
+            weight=rng.normal(size=(spec.head_input_dim, classes)).astype(np.float32),
+            bias=rng.normal(size=classes).astype(np.float32),
+        ))
+    return models
+
+
+def model_arrays(model) -> list[np.ndarray]:
+    heads = [a for h in model.heads for a in (h.weight, h.bias)]
+    if isinstance(model, DenseTaskModels):
+        return [w for ws in model.weights for w in ws] + heads
+    return [*model.u, *model.sigma, *model.v] + heads
+
+
+def dense_blob(seed=0, tasks=2, spec=SPEC) -> bytes:
+    return ck.dense_to_bytes(random_dense(seed, tasks, spec))
 
 
 def assert_spaces_equal(a: fz.SharedSpace, b: fz.SharedSpace):
@@ -69,6 +96,8 @@ def test_serialization_is_stable():
     space = random_space(seed=1)
     blob = ck.space_to_bytes(space)
     assert ck.space_to_bytes(ck.space_from_bytes(blob)) == blob
+    blob = dense_blob(seed=1)
+    assert ck.dense_to_bytes(ck.dense_from_bytes(blob)) == blob
 
 
 def test_empty_space_round_trip():
@@ -90,6 +119,10 @@ def test_file_size_arithmetic():
     metadata = 16 * n_layers + 8 * n_layers + 12 + 4 + 4 * n_layers * t + 8 * t
     expected = 16 + metadata + 4 * fz.param_count(space)
     assert len(ck.space_to_bytes(space)) == expected
+    # magic, version, the same geometry block, T, then 8 bytes a head blob
+    models = random_dense(seed=2, tasks=3)
+    expected = 28 + 24 * n_layers + 8 * t + 4 * models.param_count()
+    assert len(ck.dense_to_bytes(models)) == expected
 
 
 # -- corruption ------------------------------------------------------------------------
@@ -100,6 +133,10 @@ def test_truncation_never_yields_partial_state():
     for cut in range(0, len(blob), 64):
         with pytest.raises(FormatError):
             ck.space_from_bytes(blob[:cut])
+    blob = dense_blob(seed=4, tasks=2, spec=fz.NetworkSpec.build((2, 3), 1, (2, 2)))
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            ck.dense_from_bytes(blob[:cut])
 
 
 def test_truncation_error_carries_offset():
@@ -111,18 +148,23 @@ def test_truncation_error_carries_offset():
 
 
 def test_bad_magic_rejected_at_offset_zero():
-    blob = b"NOPE" + ck.space_to_bytes(random_space())[4:]
-    with pytest.raises(FormatError) as err:
-        ck.space_from_bytes(blob)
-    assert err.value.offset == 0
+    space, dense = ck.space_to_bytes(random_space()), dense_blob()
+    for load, blob in [(ck.space_from_bytes, b"NOPE" + space[4:]),
+                       (ck.dense_from_bytes, b"NOPE" + dense[4:]),
+                       (ck.space_from_bytes, dense),  # each layout refuses the other
+                       (ck.dense_from_bytes, space)]:
+        with pytest.raises(FormatError) as err:
+            load(blob)
+        assert err.value.offset == 0
 
 
 def test_unsupported_version_rejected():
-    blob = bytearray(ck.space_to_bytes(random_space()))
-    blob[4:8] = struct.pack("<I", 99)
-    with pytest.raises(FormatError) as err:
-        ck.space_from_bytes(bytes(blob))
-    assert err.value.offset == 4
+    for load, blob in [(ck.space_from_bytes, bytearray(ck.space_to_bytes(random_space()))),
+                       (ck.dense_from_bytes, bytearray(dense_blob()))]:
+        blob[4:8] = struct.pack("<I", 99)
+        with pytest.raises(FormatError) as err:
+            load(bytes(blob))
+        assert err.value.offset == 4
 
 
 def test_unknown_flags_rejected():
@@ -143,6 +185,11 @@ def test_trailing_bytes_rejected():
     blob = ck.space_to_bytes(random_space()) + b"\x00"
     with pytest.raises(FormatError):
         ck.space_from_bytes(blob)
+    blob = dense_blob()
+    for extra in (b"\x00", bytes(4)):
+        with pytest.raises(FormatError) as err:
+            ck.dense_from_bytes(blob + extra)
+        assert err.value.offset == len(blob)
 
 
 def test_decreasing_rank_table_rejected():
@@ -208,63 +255,101 @@ def test_dense_geometry_over_the_cap_rejected_at_its_layer(layers, offset):
 # -- npz artifacts ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("where", ["last head bias", "first U entry"])
+@pytest.mark.parametrize("where", [
+    "last head bias", "first U entry", "first dense weight", "last dense weight",
+    "last dense head bias",
+])
 def test_non_finite_payload_rejected_at_its_offset(where):
-    space = random_space(seed=6)
-    blob = bytearray(ck.space_to_bytes(space))
-    if where == "last head bias":
-        at = len(blob) - 4
-    else:  # layer 0's U starts right after the rank table
-        t, n_layers = space.num_tasks, SPEC.num_layers
-        at = 16 + 16 * n_layers + 8 * n_layers + 12 + 4 + 4 * n_layers * t
+    n_layers = SPEC.num_layers
+    if "dense" in where:
+        models = random_dense(seed=6)
+        blob, load = bytearray(ck.dense_to_bytes(models)), ck.dense_from_bytes
+        payload = 28 + 24 * n_layers
+        weights = sum(w.size for ws in models.weights for w in ws)
+        at = {"first dense weight": payload, "last dense weight": payload + 4 * (weights - 1),
+              "last dense head bias": len(blob) - 4}[where]
+    else:
+        space = random_space(seed=6)
+        blob, load = bytearray(ck.space_to_bytes(space)), ck.space_from_bytes
+        if where == "last head bias":
+            at = len(blob) - 4
+        else:  # layer 0's U starts right after the rank table
+            t = space.num_tasks
+            at = 16 + 16 * n_layers + 8 * n_layers + 12 + 4 + 4 * n_layers * t
     assert np.isfinite(np.frombuffer(bytes(blob[at : at + 4]), "<f4")[0])
     blob[at : at + 4] = struct.pack("<f", float("nan"))
     with pytest.raises(FormatError) as err:
-        ck.space_from_bytes(bytes(blob))
+        load(bytes(blob))
     assert err.value.offset == at
+
+
+# two tiny layers whose weights and heads are 3x1, 1x3 and 1xk matrices
+THIN = fz.NetworkSpec.build((3, 1), in_channels=1, input_hw=(1, 1), kernel=1, padding=0)
+
+
+@pytest.mark.parametrize("spec", [SPEC, THIN], ids=["square", "thin"])
+def test_loaded_arrays_own_writable_c_order_memory(spec):
+    space = ck.space_from_bytes(ck.space_to_bytes(random_space(seed=7, spec=spec)))
+    models = ck.dense_from_bytes(dense_blob(seed=7, spec=spec))
+    arrays = model_arrays(space) + model_arrays(models)
+    if spec is THIN:
+        shapes = {a.shape for a in arrays}
+        assert {(3, 1), (1, 3)} <= shapes
+    for a in arrays:
+        assert a.dtype == np.float32
+        assert a.flags.owndata and a.flags.writeable and a.flags.c_contiguous, a.shape
 
 
 # -- fuzzing: every mutation of a valid file loads whole or raises FormatError ------
 
-FUZZ_BLOB = ck.space_to_bytes(random_space(
-    seed=5, tasks=2, spec=fz.NetworkSpec.build((2, 3), in_channels=1, input_hw=(2, 2))))
-FUZZ_WORDS = len(FUZZ_BLOB) // 4
+FUZZ_SPEC = fz.NetworkSpec.build((2, 3), in_channels=1, input_hw=(2, 2))
+# per layout: a valid blob, its parser and its writer
+FUZZ = {
+    "cacl": (ck.space_to_bytes(random_space(seed=5, tasks=2, spec=FUZZ_SPEC)),
+             ck.space_from_bytes, ck.space_to_bytes),
+    "cacd": (dense_blob(seed=5, tasks=2, spec=FUZZ_SPEC),
+             ck.dense_from_bytes, ck.dense_to_bytes),
+}
 # counts and dimensions live in small u32s; the rest probe the edges
 U32 = st.one_of(st.integers(0, 70), st.integers(0, 2**32 - 1),
                 st.sampled_from([2**31 - 1, 2**31, 2**32 - 1, 0x7F800000, 0xFF800000]))
 
 
-def load_or_reject(blob: bytes) -> None:
+def load_or_reject(layout: str, blob: bytes) -> None:
+    _, load, save = FUZZ[layout]
     try:
-        space = ck.space_from_bytes(blob)
+        model = load(blob)
     except FormatError:
         return
-    arrays = [*space.u, *space.sigma, *space.v, *(a for h in space.heads for a in (h.weight, h.bias))]
-    assert all(np.isfinite(a).all() for a in arrays)
-    assert ck.space_to_bytes(space) == blob
+    assert all(np.isfinite(a).all() for a in model_arrays(model))
+    assert save(model) == blob
 
 
 def test_fuzz_blob_is_valid():
-    load_or_reject(FUZZ_BLOB)
-    assert ck.space_from_bytes(FUZZ_BLOB).num_tasks == 2
+    for layout, (blob, load, _) in FUZZ.items():
+        load_or_reject(layout, blob)
+        assert load(blob).num_tasks == 2
 
 
-@given(bits=st.lists(st.integers(0, 8 * len(FUZZ_BLOB) - 1), min_size=1, max_size=4))
-@settings(max_examples=300, deadline=None)
-def test_fuzz_bit_flips(bits):
-    blob = bytearray(FUZZ_BLOB)
+# each example draws a layout, then edits within that layout's blob
+@given(layout=st.sampled_from(sorted(FUZZ)), data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_fuzz_bit_flips(layout, data):
+    blob = bytearray(FUZZ[layout][0])
+    bits = data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4))
     for bit in bits:
         blob[bit // 8] ^= 1 << (bit % 8)
-    load_or_reject(bytes(blob))
+    load_or_reject(layout, bytes(blob))
 
 
-@given(edits=st.lists(st.tuples(st.integers(0, FUZZ_WORDS - 1), U32), min_size=1, max_size=3))
-@settings(max_examples=300, deadline=None)
-def test_fuzz_u32_field_rewrites(edits):
-    blob = bytearray(FUZZ_BLOB)
-    for word, value in edits:
+@given(layout=st.sampled_from(sorted(FUZZ)), data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_fuzz_u32_field_rewrites(layout, data):
+    blob = bytearray(FUZZ[layout][0])
+    words = st.integers(0, len(blob) // 4 - 1)
+    for word, value in data.draw(st.lists(st.tuples(words, U32), min_size=1, max_size=3)):
         struct.pack_into("<I", blob, 4 * word, value)
-    load_or_reject(bytes(blob))
+    load_or_reject(layout, bytes(blob))
 
 
 def test_task_factors_round_trip(tmp_path):
@@ -292,23 +377,89 @@ def test_raw_checkpoint_with_a_zero_layer_dimension_is_a_format_error(tmp_path):
         ck.load_task_factors(path)
 
 
+def _nan_first(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+# name -> edit of that array; None deletes it
+RAW_EDITS = {
+    "u0 with a NaN": ("u0", _nan_first),
+    "u0 cut to fewer columns": ("u0", lambda a: a[:, :-1]),
+    "v0 cut to fewer rows": ("v0", lambda a: a[:5]),
+    "v1 with an infinity": ("v1", lambda a: np.full_like(a, np.inf)),
+    "sigma0 as a matrix": ("sigma0", lambda a: a[:, None]),
+    "sigma1 with a NaN": ("sigma1", _nan_first),
+    "sigma1 beyond float32": ("sigma1", lambda a: a.astype(np.float64) * 1e300),
+    "u1 of integers": ("u1", lambda a: a.astype(np.int64)),
+    "u1 missing": ("u1", None),
+    "head_w of the wrong input dimension": ("head_w", lambda a: a[1:]),
+    "head_w with a NaN": ("head_w", _nan_first),
+    "head_b of the wrong length": ("head_b", lambda a: a[1:]),
+    "task as a vector": ("task", lambda a: np.array([1, 2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_EDITS))
+def test_raw_checkpoint_that_does_not_fit_its_geometry_is_a_format_error(tmp_path, case):
+    name, edit = RAW_EDITS[case]
+    factors, head = fz.expand(SPEC, 1, seed=1, classes=3)
+    path = tmp_path / "task1_raw.npz"
+    ck.save_task_factors(path, SPEC, factors, head)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    if edit is None:
+        del arrays[name]
+    else:
+        arrays[name] = edit(arrays[name])
+    np.savez(path, **arrays)
+    with pytest.raises(FormatError, match=rf"\b{name}\b"):
+        ck.load_task_factors(path)
+
+
+def test_raw_checkpoint_over_the_dense_cap_is_a_format_error(tmp_path):
+    # rank-0 factors: a file of a few hundred bytes whose dense weight is 64 MiB + 4 bytes
+    q = ck.MAX_DENSE_WEIGHTS + 1
+    spec = fz.NetworkSpec.build((1,), in_channels=q, input_hw=(1, 1), kernel=1, padding=0)
+    factors = fz.TaskFactors(task=1, u=[np.zeros((1, 0), np.float32)],
+                             sigma=[np.zeros(0, np.float32)], v=[np.zeros((q, 0), np.float32)])
+    head = fz.TaskHead(weight=np.ones((1, 2), np.float32), bias=np.zeros(2, np.float32))
+    path = tmp_path / "task1_raw.npz"
+    ck.save_task_factors(path, spec, factors, head)
+    with pytest.raises(FormatError, match="over the cap"):
+        ck.load_task_factors(path)
+
+
 def test_dense_models_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    models = DenseTaskModels(spec=SPEC)
-    for t in range(2):
-        models.weights.append(
-            [rng.normal(size=(s.c, s.q)).astype(np.float32) for s in SPEC.layers]
-        )
-        models.heads.append(fz.TaskHead(
-            weight=rng.normal(size=(SPEC.head_input_dim, 2)).astype(np.float32),
-            bias=np.zeros(2, np.float32),
-        ))
-    path = tmp_path / "models.npz"
+    models = random_dense(seed=0)
+    path = tmp_path / "models.cacd"
     ck.save_dense_models(path, models)
+    assert path.read_bytes()[:4] == ck.DENSE_MAGIC
     back = ck.load_dense_models(path)
     assert back.num_tasks == 2
-    x = rng.normal(size=(3, 2, 4, 4)).astype(np.float32)
+    assert back.spec == models.spec
+    for a, b in zip(model_arrays(models), model_arrays(back)):
+        np.testing.assert_array_equal(a, b)
+    x = np.random.default_rng(0).normal(size=(3, 2, 4, 4)).astype(np.float32)
     np.testing.assert_array_equal(models.predict_logits(2, x), back.predict_logits(2, x))
+    # a binary file object works as a path does
+    buf = io.BytesIO()
+    ck.save_dense_models(buf, models)
+    blob = buf.getvalue()
+    assert blob == path.read_bytes()
+    assert ck.dense_to_bytes(ck.load_dense_models(io.BytesIO(blob))) == blob
+
+
+def test_dense_models_of_the_wrong_shape_are_not_written():
+    models = random_dense(seed=1)
+    models.weights[1][0] = models.weights[1][0][:, :-1]
+    with pytest.raises(ValueError, match="task 2"):
+        ck.dense_to_bytes(models)
+    models = random_dense(seed=1)
+    models.heads[0] = fz.TaskHead(weight=models.heads[0].weight[1:], bias=models.heads[0].bias)
+    with pytest.raises(ValueError, match="head"):
+        ck.dense_to_bytes(models)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -333,3 +484,9 @@ def test_wrong_npz_kind_rejected(tmp_path):
         ck.load_dense_models(path)
     with pytest.raises(FormatError):
         ck.load_dataset(path)
+    # dense models once were npz archives; those are not read either
+    path = tmp_path / "models.npz"
+    np.savez(path, tasks=np.array(1), w0_0=np.zeros((3, 18), np.float32))
+    with pytest.raises(FormatError, match="not a dense-model file") as err:
+        ck.load_dense_models(path)
+    assert err.value.offset == 0

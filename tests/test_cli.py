@@ -39,6 +39,15 @@ def train_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def dense_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_ub")
+    config = write_config(root / "cfg.json", mode="baseline_ub", tasks=2)
+    out = root / "run_ub"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
 # -- config parsing -------------------------------------------------------------------
 
 
@@ -184,17 +193,46 @@ def test_eval_reports_data_of_the_wrong_geometry_as_one_error_line(train_run, tm
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
-def test_eval_reads_dense_models(tmp_path, capsys):
-    config = write_config(tmp_path / "cfg.json", mode="baseline_ub", tasks=2)
-    out = tmp_path / "run_ub"
-    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-    assert (out / "models.npz").is_file()
+def test_eval_reads_dense_models(dense_run, capsys):
+    assert (dense_run / "models.cacd").is_file()
     code = main([
-        "eval", "--model", str(out / "models.npz"),
-        "--task", "2", "--data", str(out / "task2_data.npz"),
+        "eval", "--model", str(dense_run / "models.cacd"),
+        "--task", "2", "--data", str(dense_run / "task2_data.npz"),
     ])
     assert code == 0
     assert "accuracy" in capsys.readouterr().out
+
+
+def _nan_weight(blob: bytes) -> bytes:
+    # the first real after the 28 + 24L header bytes is task 1's first layer weight
+    at = 28 + 24 * 2
+    return blob[:at] + np.float32(np.nan).tobytes() + blob[at + 4:]
+
+
+def _short_weight(blob: bytes) -> bytes:
+    # task 1's first weight (3 x 18, column order) loses its last column
+    start = 28 + 24 * 2
+    return blob[: start + 4 * 3 * 17] + blob[start + 4 * 3 * 18:]
+
+
+@pytest.mark.parametrize("name, make, says", [
+    ("nan.cacd", _nan_weight, "non-finite"),
+    ("short.cacd", _short_weight, "offset"),
+    ("models.npz", None, "CACD"),  # the dense-model file of earlier releases
+])
+def test_eval_reports_a_bad_dense_model_as_one_error_line(dense_run, tmp_path, capsys, name, make, says):
+    path = tmp_path / name
+    if make is None:
+        models = ck.load_dense_models(dense_run / "models.cacd")
+        np.savez(path, tasks=np.array(models.num_tasks), w0_0=models.weights[0][0])
+    else:
+        path.write_bytes(make((dense_run / "models.cacd").read_bytes()))
+    code = main([
+        "eval", "--model", str(path),
+        "--task", "1", "--data", str(dense_run / "task1_data.npz"),
+    ])
+    assert code == 1
+    assert says in only_error_line(capsys)
 
 
 # -- compress --------------------------------------------------------------------------
@@ -230,6 +268,30 @@ def test_compress_reports_a_bad_energy_as_one_error_line(train_run, tmp_path, ca
     ])
     assert code == 1
     assert "energy_e" in only_error_line(capsys)
+    assert not out.exists()
+
+
+def _nan_first(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("u0", _nan_first),
+    ("u0", lambda a: a[:, :-1]),  # one column fewer than sigma0 has entries
+    ("v0", lambda a: a[:5]),  # 5 of its 18 rows
+], ids=["u0 with a NaN", "u0 cut", "v0 cut"])
+def test_compress_reports_a_bad_checkpoint_as_one_error_line(train_run, tmp_path, capsys, name, edit):
+    with np.load(train_run / "task1_raw.npz") as blob:
+        arrays = dict(blob)
+    arrays[name] = edit(arrays[name])
+    bad = tmp_path / "bad_raw.npz"
+    np.savez(bad, **arrays)
+    out = tmp_path / "x.npz"
+    code = main(["compress", "--model", str(bad), "--energy", "0.1", "--out", str(out)])
+    assert code == 1
+    assert name in only_error_line(capsys)
     assert not out.exists()
 
 
