@@ -30,13 +30,15 @@ evaluation.
 Convolutions keep activations batch-innermost, ``(C, H, W, N)``:
 channel, then pixel, then image.  ``im2col`` and ``col2im``,
 ``conv2d_forward`` and the ``conv2d`` op all take and return that
-layout, so every kernel offset's slice and scatter-add moves contiguous
-runs of N values, a convolution's output is its gemm result reshaped,
-with no copy, and its backward reads the incoming gradient with a free
-reshape.  The weight gradient alone sums over batch-major copies of its
-operands, columns in ``(image, out row, out col)`` order: a gemm's bits
-depend on the order it sums in, and this one keeps the trained bits
-those of a batch-major layout.  A network whose inputs and features are
+layout, so an input is ``C*H*W`` rows of N contiguous values: ``im2col``
+is one gather of those rows, plus one zero row for the padding, through
+an index table cached per geometry, and each of ``col2im``'s kernel
+offset scatter-adds moves whole rows.  A convolution's output is its
+gemm result reshaped, with no copy, and its backward reads the incoming
+gradient with a free reshape.  The weight gradient alone sums over
+batch-major copies of its operands, columns in ``(image, out row, out
+col)`` order: a gemm's bits depend on the order it sums in, and this one
+keeps the trained bits those of a batch-major layout.  A network whose inputs and features are
 batch-major transposes once on entry to the conv stack and once before
 the flatten (see ``factorized.graph_forward``).
 
@@ -54,14 +56,17 @@ graph in float64.
 A graph is owned by one thread while it is being built, re-run and
 differentiated; independent graphs never share state.  Inference
 (:func:`conv2d_forward`) unfolds into scratch that is per thread: each
-thread holds at most the largest zero-padded input and the largest
-im2col matrix it has served, reused as views by its later calls, so
-threads serving concurrently never share a buffer and a steady serving
-thread allocates no column memory.
+thread holds at most the largest gather source (input rows and zero
+row) and the largest im2col matrix it has served, reused as views by
+its later calls, so threads serving concurrently never share a buffer
+and a steady serving thread allocates no column memory.  The unfold
+index tables are the one thing threads share: a bounded cache of
+read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -96,43 +101,58 @@ def _scratch(slot: str, shape: tuple[int, ...], like: np.ndarray) -> np.ndarray:
     return np.ndarray(shape, like.dtype, buf)
 
 
+# bounded: a table holds C*kh*kw*Ho*Wo indices, and a network has a few geometries
+@functools.lru_cache(maxsize=64)
+def _unfold_table(c_in: int, h: int, w: int, kh: int, kw: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """The source row of each im2col row, one table per geometry, read-only.
+
+    Entry ``(c, i, j, oy, ox)`` (flattened in that order) is the pixel row
+    ``(c*H + y)*W + x`` of ``y = oy*stride + i - padding`` and ``x = ox*stride
+    + j - padding``, or ``C*H*W``, the zero row, where ``(y, x)`` falls in the
+    padding.  The cache hands the same array to every caller and every
+    thread, so it cannot be written.
+    """
+    out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
+    ys = (np.arange(kh)[:, None] + stride * np.arange(out_h) - padding)[:, None, :, None]
+    xs = (np.arange(kw)[:, None] + stride * np.arange(out_w) - padding)[None, :, None, :]
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)  # (kh, kw, Ho, Wo)
+    channel = (np.arange(c_in) * (h * w))[:, None, None, None, None]
+    table = np.where(inside, channel + ys * w + xs, c_in * h * w).astype(np.intp).ravel()
+    table.flags.writeable = False
+    return table
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
            scratch: bool = False) -> np.ndarray:
     """Unfold batch-innermost ``(C, H, W, N)`` patches into a ``(C*kh*kw, Ho*Wo*N)`` matrix.
 
     Rows are ordered ``(channel, kh, kw)``, so they line up with a conv
     weight stored as its ``c x (n*kh*kw)`` matrix; columns are ordered
-    ``(out row, out col, image)``.  Each kernel offset's shifted slice is
-    written straight into a ``(C, kh, kw, Ho, Wo, N)`` array, whose
-    reshape is the column matrix.
+    ``(out row, out col, image)``.  The unfold is one gather: the input is
+    copied as ``C*H*W`` rows of N values, followed by one zero row that
+    stands in for every padding pixel, and one ``take`` through the
+    geometry's cached :func:`_unfold_table` writes each ``(channel, kh,
+    kw, out row, out col)`` row of N values into the columns.
 
-    The zero-padded input and that array are fresh, or, with ``scratch``
+    The source rows and the columns are fresh, or, with ``scratch``
     (which only :func:`conv2d_forward` sets), views on this thread's
-    :func:`_scratch` slots ``"padded"`` and ``"cols"``; then the padded
-    input's border is zeroed over stale contents, and the result is a
-    view that the thread's next unfold overwrites.
+    :func:`_scratch` slots ``"padded"`` (the rows and the zero row, which
+    each call rewrites) and ``"cols"``; then the result is a view that
+    the thread's next unfold overwrites.
     """
     c_in, h, w, n_im = x.shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
-    if padding > 0:
-        p = padding
-        shape = (c_in, h + 2 * p, w + 2 * p, n_im)
-        if scratch:
-            padded = _scratch("padded", shape, x)
-            for k in range(p):  # border rows k and Hp-1-k, then border columns k and Wp-1-k
-                padded[:, k::h + 2 * (p - k) - 1] = 0
-                padded[:, :, k::w + 2 * (p - k) - 1] = 0
-        else:
-            padded = np.zeros(shape, dtype=x.dtype)
-        padded[:, p:p + h, p:p + w] = x
-        x = padded
-    shape = (c_in, kh, kw, out_h, out_w, n_im)
-    cols = _scratch("cols", shape, x) if scratch else np.empty(shape, dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            cols[:, i, j] = x[:, i:i_max:stride, j:j_max:stride]
+    pixels = c_in * h * w
+    src_shape, cols_shape = (pixels + 1, n_im), (c_in * kh * kw * out_h * out_w, n_im)
+    if scratch:
+        src, cols = _scratch("padded", src_shape, x), _scratch("cols", cols_shape, x)
+    else:
+        src, cols = np.empty(src_shape, dtype=x.dtype), np.empty(cols_shape, dtype=x.dtype)
+    src[:pixels] = x.reshape(pixels, n_im)
+    src[pixels] = 0
+    # every index is in range; "clip" lets take write straight into out
+    src.take(_unfold_table(c_in, h, w, kh, kw, stride, padding), axis=0, mode="clip", out=cols)
     return cols.reshape(c_in * kh * kw, out_h * out_w * n_im)
 
 
@@ -171,7 +191,7 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
     """Graph-free convolution for inference; same arithmetic as the conv2d op.
 
     ``x`` is batch-innermost ``(C, H, W, N)`` and so is the result.  The
-    padded input and the im2col columns live in this thread's scratch,
+    gather source and the im2col columns live in this thread's scratch,
     which the next call on the thread overwrites; the result is the
     gemm's fresh output, so nothing returned aliases the scratch.
     """

@@ -161,6 +161,8 @@ def cmd_eval(args) -> int:
     if not 1 <= args.task <= num_tasks:
         raise ConfigError(f"task {args.task} out of range 1..{num_tasks}")
     data = ck.load_dataset(args.data)
+    if len(data.test_y) == 0:
+        raise DataError(f"{args.data} has an empty test split: accuracy is undefined")
     acc = tr.accuracy(predict(args.task, data.test_x), data.test_y)
     # full precision so downstream comparisons can be exact
     print(f"task {args.task} accuracy {acc:.17g}")
@@ -185,11 +187,18 @@ def cmd_compress(args) -> int:
     return 0
 
 
+def _read_metrics(path: Path) -> MetricsReport:
+    try:
+        return MetricsReport.from_json(path.read_text())
+    except (DataError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def cmd_report(args) -> int:
     runs = sorted(p for p in Path(args.runs).iterdir() if (p / "metrics.json").is_file())
     if not runs:
         raise DataError(f"no run directories with metrics.json under {args.runs}")
-    reports = [MetricsReport.from_json((p / "metrics.json").read_text()) for p in runs]
+    reports = [_read_metrics(p / "metrics.json") for p in runs]
     acc = np.array([r.acc for r in reports]) * 100.0
     bwt = np.array([r.bwt for r in reports]) * 100.0
     size = np.array([r.size_mb for r in reports])

@@ -60,11 +60,26 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
-        blob = json.loads(text)
-        matrix = np.array(
-            [[np.nan if v is None else v for v in row] for row in blob["acc_matrix"]],
-            dtype=np.float64,
-        )
+        """Parse :meth:`to_json` output; :class:`DataError` for anything else."""
+        try:
+            blob = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"not JSON ({exc})") from None
+        if not isinstance(blob, dict):
+            raise DataError(f"expected a JSON object, got a {type(blob).__name__}")
+        missing = [k for k in ("acc_matrix", "acc", "bwt", "size_bytes") if k not in blob]
+        if missing:
+            raise DataError(f"missing {', '.join(missing)}")
+        try:
+            matrix = np.array(
+                [[np.nan if v is None else v for v in row] for row in blob["acc_matrix"]],
+                dtype=np.float64,
+            )
+        except (TypeError, ValueError):
+            raise DataError("acc_matrix is not a matrix of accuracies") from None
+        for key in ("acc", "bwt", "size_bytes"):
+            if not isinstance(blob[key], (int, float)) or isinstance(blob[key], bool):
+                raise DataError(f"{key} is not a number")
         return cls(
             acc_matrix=matrix,
             acc=blob["acc"],

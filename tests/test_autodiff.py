@@ -98,26 +98,30 @@ def _col2im_loop(cols, x_shape, kh, kw, stride, padding):
     return img[:, padding:padding + h, padding:padding + w]
 
 
+# stride 3 with a 2x2 kernel leaves pixels that no column reads
 @pytest.mark.parametrize("hw", [(5, 5), (6, 6), (5, 6)])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1])
-@pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [(3, 3), (2, 3), (2, 2), (1, 1)])
 def test_im2col_col2im_match_per_pixel_loops(hw, stride, padding, kernel):
     kh, kw = kernel
-    x_shape = (2, *hw, 3)  # batch-innermost (C, H, W, N)
-    x = rng_array(x_shape, seed=40)
-    cols = ad.im2col(x, kh, kw, stride, padding)
-    assert cols.tobytes() == _im2col_loop(x, kh, kw, stride, padding).tobytes()
-    g = rng_array(cols.shape, seed=41)
-    img = ad.col2im(g, x_shape, kh, kw, stride, padding)
-    assert img.shape == x_shape and img.flags["C_CONTIGUOUS"]
-    assert img.tobytes() == _col2im_loop(g, x_shape, kh, kw, stride, padding).tobytes()
-    # adjoint identity <im2col(x), c> = <x, col2im(c)>, in float64
-    x64 = np.random.default_rng(42).normal(size=x_shape)
-    c64 = np.random.default_rng(43).normal(size=cols.shape)
-    lhs = np.vdot(ad.im2col(x64, kh, kw, stride, padding), c64)
-    rhs = np.vdot(x64, ad.col2im(c64, x_shape, kh, kw, stride, padding))
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    for n_im in (3, 1):
+        x_shape = (2, *hw, n_im)  # batch-innermost (C, H, W, N)
+        x = rng_array(x_shape, seed=40)
+        want = _im2col_loop(x, kh, kw, stride, padding).tobytes()
+        cols = ad.im2col(x, kh, kw, stride, padding)
+        assert cols.tobytes() == want
+        assert ad.im2col(x, kh, kw, stride, padding, scratch=True).tobytes() == want
+        g = rng_array(cols.shape, seed=41)
+        img = ad.col2im(g, x_shape, kh, kw, stride, padding)
+        assert img.shape == x_shape and img.flags["C_CONTIGUOUS"]
+        assert img.tobytes() == _col2im_loop(g, x_shape, kh, kw, stride, padding).tobytes()
+        # adjoint identity <im2col(x), c> = <x, col2im(c)>, in float64
+        x64 = np.random.default_rng(42).normal(size=x_shape)
+        c64 = np.random.default_rng(43).normal(size=cols.shape)
+        lhs = np.vdot(ad.im2col(x64, kh, kw, stride, padding), c64)
+        rhs = np.vdot(x64, ad.col2im(c64, x_shape, kh, kw, stride, padding))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -146,14 +150,14 @@ def test_conv2d_weight_gradient_sums_over_batch_major_columns(stride, padding):
 # -- inference scratch -------------------------------------------------------------
 
 
-def _serving_net(seed):
+def _serving_net(seed, input_hw=(7, 7), stride=(1, 2)):
     """A strided, padded two-layer net: weights, a head and batch-major inputs."""
-    spec = fz.NetworkSpec.build((4, 5), in_channels=3, input_hw=(7, 7), stride=(1, 2))
+    spec = fz.NetworkSpec.build((4, 5), in_channels=3, input_hw=input_hw, stride=stride)
     rng = np.random.default_rng(seed)
     weights = [(rng.normal(size=(s.c, s.q)) * 0.3).astype(np.float32) for s in spec.layers]
     head = fz.TaskHead(weight=(rng.normal(size=(spec.head_input_dim, 3)) * 0.1).astype(np.float32),
                        bias=rng.normal(size=3).astype(np.float32))
-    batches = [rng.normal(size=(n, 3, 7, 7)).astype(np.float32) for n in (256, 1, 7, 33)]
+    batches = [rng.normal(size=(n, 3, *input_hw)).astype(np.float32) for n in (256, 1, 7, 33)]
     return spec, weights, head, batches
 
 
@@ -213,16 +217,23 @@ def test_same_geometry_reuses_the_column_memory(monkeypatch):
 
 
 def test_threads_serving_mixed_batches_get_single_thread_bits():
-    spec, weights, head, batches = _serving_net(seed=57)
-    refs = [fz.run_network(weights, head, spec, x).tobytes() for x in batches]
-    rounds = 20
+    # two geometries: threads fill and read the unfold-table cache while they serve
+    requests = []
+    for net in (_serving_net(seed=57), _serving_net(seed=60, input_hw=(9, 8), stride=(2, 1))):
+        spec, weights, head, batches = net
+        requests += [(spec, weights, head, x) for x in batches]
+    refs = [fz.run_network(weights, head, spec, x).tobytes()
+            for spec, weights, head, x in requests]
+    ad._unfold_table.cache_clear()
+    rounds = 10
     served, wrong = [0] * 4, []
 
     def serve(k):
         for _ in range(rounds):
-            for i in range(len(batches)):
-                j = (k + i) % len(batches)  # each thread starts at another batch size
-                if fz.run_network(weights, head, spec, batches[j]).tobytes() != refs[j]:
+            for i in range(len(requests)):
+                j = (k + i) % len(requests)  # each thread starts at another request
+                spec, weights, head, x = requests[j]
+                if fz.run_network(weights, head, spec, x).tobytes() != refs[j]:
                     wrong.append((k, j))
                 served[k] += 1
 
@@ -238,7 +249,7 @@ def test_threads_serving_mixed_batches_get_single_thread_bits():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert served == [rounds * len(batches)] * 4
+    assert served == [rounds * len(requests)] * 4
 
 
 def test_forward_matches_pure_recomputation():

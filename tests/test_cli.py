@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,22 @@ def test_eval_reports_data_of_the_wrong_geometry_as_one_error_line(train_run, tm
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def test_eval_reports_an_empty_test_split_as_one_error_line(train_run, tmp_path, capsys):
+    data = ck.load_dataset(train_run / "task1_data.npz")
+    ck.save_dataset(tmp_path / "empty.npz", TaskDataset(
+        train_x=data.train_x, train_y=data.train_y, test_x=data.test_x[:0],
+        test_y=data.test_y[:0], classes=data.classes,
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an accuracy over no samples warns, then prints nan
+        code = main([
+            "eval", "--model", str(train_run / "space.cacl"),
+            "--task", "1", "--data", str(tmp_path / "empty.npz"),
+        ])
+    assert code == 1
+    assert "empty test split" in only_error_line(capsys)
+
+
 def test_eval_reads_dense_models(dense_run, capsys):
     assert (dense_run / "models.cacd").is_file()
     code = main([
@@ -316,6 +333,20 @@ def test_report_aggregates_mean_std(tmp_path, capsys):
 
 def test_report_empty_dir_fails(tmp_path, capsys):
     assert main(["report", "--runs", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[: len(text) // 2],
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "acc_matrix"}),
+    lambda text: json.dumps([json.loads(text)]),
+], ids=["truncated", "no_acc_matrix", "json_array"])
+def test_report_names_a_bad_metrics_file_in_one_error_line(tmp_path, capsys, edit):
+    good = compute_metrics([[0.9]], size_bytes=1000).to_json()
+    for run, text in (("a_good", good), ("b_bad", edit(good))):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "metrics.json").write_text(text)
+    assert main(["report", "--runs", str(tmp_path)]) == 1
+    assert str(tmp_path / "b_bad" / "metrics.json") in only_error_line(capsys)
 
 
 # -- corrupt inputs ----------------------------------------------------------------------
