@@ -2,11 +2,10 @@
 
 The graph is a Wengert tape: every operation appends a node holding the
 op kind, the ids of its input nodes and the cached forward value.  The
-ops are the ones a training step builds, thirteen in all: ``add`` (of
+ops are the ones a training step builds, twelve in all: ``add`` (of
 equal shapes), ``scale``, ``transpose`` (by explicit axes), ``relu``,
 ``reshape``, ``frobenius_norm``, ``factor_product``, ``gram_deviation``,
-``hoyer``, ``linear``, ``softmax_cross_entropy``, ``conv2d`` and
-``dropout`` (training-time only).
+``hoyer``, ``linear``, ``softmax_cross_entropy`` and ``conv2d``.
 
 Every node records whether it needs a gradient: a leaf built as
 ``trainable`` does, and so does any node with an input that does.
@@ -16,11 +15,11 @@ a contribution.  A leaf holds a float32 C-contiguous array as it is, so
 an optimizer that updates that array in place updates the tape.
 
 A tape whose shape does not change is built once and re-run.
-:meth:`Graph.feed` replaces a per-step input (a data leaf's value, a
-loss node's labels, a dropout node's seed) after the same checks
-building the node made, and :meth:`Graph.rerun` re-evaluates every op
-node in tape order with the same forward formulas, so a re-run tape
-holds the values and gradients a fresh build would, bit for bit.  Each
+:meth:`Graph.feed` replaces a per-step input (a data leaf's value or a
+loss node's labels) after the same checks building the node made, and
+:meth:`Graph.rerun` re-evaluates every op node in tape order with the
+same forward formulas, so a re-run tape holds the values and gradients
+a fresh build would, bit for bit.  Each
 op has one forward: a forward that computes an intermediate its backward
 needs returns it too, and building or re-running saves it in the node's
 ``aux``: ``conv2d`` its im2col columns, ``gram_deviation`` its residual
@@ -287,16 +286,6 @@ def _batch_major(m: np.ndarray, n_im: int) -> np.ndarray:
     return np.ascontiguousarray(m.reshape(rows, -1, n_im).transpose(0, 2, 1)).reshape(rows, -1)
 
 
-def _f_dropout(v, aux):
-    return v[0] * aux["mask"].astype(v[0].dtype)
-
-
-def _dropout_mask(shape: tuple[int, ...], rate: float, seed: int) -> np.ndarray:
-    """Inverted-dropout mask drawn from ``seed``."""
-    keep = np.random.default_rng(seed).random(shape) >= rate
-    return (keep / (1.0 - rate)).astype(DTYPE)
-
-
 def _checked_labels(logits_shape: tuple[int, ...], labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (logits_shape[0],) or not np.issubdtype(labels.dtype, np.integer):
@@ -336,7 +325,6 @@ _FORWARD = {
     "hoyer": lambda v, aux: hoyer(v[0], HOYER_EPS),
     "linear": _f_linear,
     "softmax_cross_entropy": _f_softmax_ce,
-    "dropout": _f_dropout,
 }
 
 
@@ -430,10 +418,6 @@ def _b_conv2d(g, v, out, aux):
     return [gw, gx]
 
 
-def _b_dropout(g, v, out, aux):
-    return [g * aux["mask"].astype(g.dtype)]
-
-
 _BACKWARD = {
     "add": _b_add,
     "scale": _b_scale,
@@ -447,7 +431,6 @@ _BACKWARD = {
     "linear": _b_linear,
     "softmax_cross_entropy": _b_softmax_ce,
     "conv2d": _b_conv2d,
-    "dropout": _b_dropout,
 }
 
 
@@ -576,28 +559,16 @@ class Graph:
                "x_needs_grad": self.nodes[x].needs_grad}
         return self._apply("conv2d", (weight, x), aux)
 
-    def dropout(self, a: int, rate: float, seed: int) -> int:
-        """Inverted dropout for training, with a mask drawn from ``seed``.
-
-        Serving has no dropout (``factorized.forward_features``), so this op
-        always drops: each entry is kept with probability ``1 - rate`` and
-        scaled by ``1 / (1 - rate)``.
-        """
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        mask = _dropout_mask(self.nodes[a].value.shape, rate, seed)
-        return self._apply("dropout", (a,), {"rate": rate, "seed": seed, "mask": mask})
-
     # -- re-running ---------------------------------------------------------
 
     def feed(self, nid: int, value) -> None:
         """Replace a per-step input of the recorded tape; :meth:`rerun` then uses it.
 
-        A leaf takes a new value of its recorded shape, a
-        ``softmax_cross_entropy`` node new labels, and a dropout node a new
-        seed, from which it draws its mask.  Each is checked as building the
-        node checked it: :class:`ShapeError` for a leaf of another shape,
-        :class:`DataError` for labels that do not fit the logits.
+        A leaf takes a new value of its recorded shape and a
+        ``softmax_cross_entropy`` node new labels.  Each is checked as
+        building the node checked it: :class:`ShapeError` for a leaf of
+        another shape, :class:`DataError` for labels that do not fit the
+        logits.
         """
         node = self.nodes[nid]
         if node.op == "leaf":
@@ -608,9 +579,6 @@ class Graph:
         elif node.op == "softmax_cross_entropy":
             logits = self.nodes[node.inputs[0]].value
             node.aux["labels"] = _checked_labels(logits.shape, value)
-        elif node.op == "dropout":
-            node.aux["seed"] = value
-            node.aux["mask"] = _dropout_mask(node.value.shape, node.aux["rate"], value)
         else:
             raise ValueError(f"a {node.op} node has no fed input")
 

@@ -39,11 +39,10 @@ that every value is finite.
 from __future__ import annotations
 
 import struct
-import zipfile
 
 import numpy as np
 
-from .datasets import TaskDataset
+from .datasets import TaskDataset, open_npz
 from .errors import FormatError
 from .factorized import LayerShape, NetworkSpec, SharedSpace, TaskFactors, TaskHead
 from .linalg import DTYPE
@@ -166,7 +165,6 @@ def _read_geometry(r: _Reader) -> NetworkSpec:
             head_input_dim=head_dim,
             strides=tuple(strides),
             paddings=tuple(paddings),
-            dropout_rates=(0.0,) * n_layers,
         )
     except ValueError as exc:
         # geometry fields are individually valid but mutually inconsistent
@@ -348,15 +346,6 @@ def load_dense_models(path_or_binary_file) -> DenseTaskModels:
 # -- npz artifacts -------------------------------------------------------------------
 
 
-def _open_npz(path):
-    try:
-        return np.load(path, allow_pickle=False)
-    except (ValueError, OSError, zipfile.BadZipFile) as exc:
-        if isinstance(exc, FileNotFoundError):
-            raise
-        raise FormatError(f"not a readable npz archive: {path}") from exc
-
-
 def _spec_arrays(spec: NetworkSpec) -> dict:
     return {
         "layers": np.array([[s.c, s.n, s.h, s.w] for s in spec.layers], dtype=np.int64),
@@ -376,7 +365,6 @@ def _spec_from_arrays(blob) -> NetworkSpec:
             head_input_dim=int(blob["head_input_dim"]),
             strides=tuple(int(v) for v in blob["strides"]),
             paddings=tuple(int(v) for v in blob["paddings"]),
-            dropout_rates=(0.0,) * len(layers),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"stored network geometry is inconsistent: {exc}") from exc
@@ -421,7 +409,7 @@ def load_task_factors(path) -> tuple[NetworkSpec, TaskFactors, TaskHead]:
     value raises FormatError naming the array, and so do layers whose
     dense weights sum to over MAX_DENSE_WEIGHTS.
     """
-    with _open_npz(path) as blob:
+    with open_npz(path) as blob:
         if "task" not in blob or "head_w" not in blob:
             raise FormatError("npz file is not a task checkpoint")
         spec = _spec_from_arrays(blob)
@@ -446,6 +434,12 @@ def load_task_factors(path) -> tuple[NetworkSpec, TaskFactors, TaskHead]:
     return spec, TaskFactors(task=int(task), u=u, sigma=sigma, v=v), TaskHead(weight, bias)
 
 
+# the arrays of a dataset archive and the numpy dtype kinds each may have
+_DATASET_KINDS = {"train_x": "fiu", "train_y": "iu", "test_x": "fiu", "test_y": "iu",
+                  "classes": "iu"}
+_KIND_NAMES = {"fiu": "real numbers", "iu": "integers"}
+
+
 def save_dataset(path, data: TaskDataset) -> None:
     np.savez(
         path,
@@ -458,13 +452,21 @@ def save_dataset(path, data: TaskDataset) -> None:
 
 
 def load_dataset(path) -> TaskDataset:
-    with _open_npz(path) as blob:
-        if "test_x" not in blob or "classes" not in blob:
-            raise FormatError("npz file is not a task dataset")
-        return TaskDataset(
-            train_x=blob["train_x"],
-            train_y=blob["train_y"],
-            test_x=blob["test_x"],
-            test_y=blob["test_y"],
-            classes=int(blob["classes"]),
-        )
+    """Read a :func:`save_dataset` archive.
+
+    A missing array, a ``classes`` that is not a positive integer scalar,
+    inputs that are not real numbers or labels that are not integers raise
+    FormatError naming the array.
+    """
+    with open_npz(path) as blob:
+        missing = [name for name in _DATASET_KINDS if name not in blob]
+        if missing:
+            raise FormatError(f"npz file is not a task dataset: no {', '.join(missing)}")
+        arrays = {name: blob[name] for name in _DATASET_KINDS}
+    for name, kinds in _DATASET_KINDS.items():
+        if arrays[name].dtype.kind not in kinds:
+            raise FormatError(f"{name} has dtype {arrays[name].dtype}, not {_KIND_NAMES[kinds]}")
+    classes = arrays.pop("classes")
+    if classes.shape != () or classes < 1:
+        raise FormatError(f"classes must be a positive integer scalar, got {classes!r}")
+    return TaskDataset(**arrays, classes=int(classes))

@@ -39,7 +39,7 @@ STREAM_KEYS = {
     "kind", "tasks", "classes_per_task", "samples_per_class", "input_shape",
     "seed", "overlap", "scale", "path", "partitions",
 }
-NETWORK_KEYS = {"channels", "kernel", "stride", "padding", "dropout"}
+NETWORK_KEYS = {"channels", "kernel", "stride", "padding"}
 TRAIN_KEYS = {
     "epochs", "batch_size", "base_lr", "lr_drop_epochs", "lr_drop_factor",
     "lambda_orth", "lambda_sparse", "energy_e", "mode", "seed", "min_rank",
@@ -102,7 +102,6 @@ def _specs_from(blob: dict) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainCon
         kernel=blob.get("kernel", 3),
         stride=blob.get("stride", 1),
         padding=blob.get("padding", 1),
-        dropout=float(blob.get("dropout", 0.0)),
     )
 
     train_kwargs = {k: blob[k] for k in TRAIN_KEYS if k in blob}
@@ -121,9 +120,9 @@ def _write_rank_csv(path, rank_allocation: list[list[int]], tasks: int) -> None:
 
 def cmd_train(args) -> int:
     stream_spec, spec, cfg = load_config(args.config)
+    stream = generate_stream(stream_spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stream = generate_stream(stream_spec)
     raw: list = []
     model, report = tr.run_continual(stream, spec, cfg, raw_sink=raw)
 

@@ -16,15 +16,34 @@ bitwise reproducible from its seed.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FormatError
 
 TRAIN_FRACTION = 0.8
 # Blob noise std as a fraction of scale; overlap moves cluster centers, not noise.
 BLOB_NOISE = 0.15
+
+
+def open_npz(path) -> np.lib.npyio.NpzFile:
+    """Open an npz archive without pickles.
+
+    A missing file raises FileNotFoundError; any other file that is not a
+    readable npz archive, a bare ``.npy`` array included, is a FormatError
+    naming ``path``.
+    """
+    try:
+        blob = np.load(path, allow_pickle=False)
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        if isinstance(exc, FileNotFoundError):
+            raise
+        raise FormatError(f"not a readable npz archive: {path}") from exc
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise FormatError(f"not a readable npz archive: {path}")
+    return blob
 
 
 @dataclass
@@ -169,7 +188,7 @@ def _file_task(spec: TaskStreamSpec, t: int, x_all: np.ndarray, y_all: np.ndarra
 def generate_stream(spec: TaskStreamSpec) -> list[TaskDataset]:
     if spec.kind == "synthetic_blobs":
         return [_blob_task(spec, t) for t in range(1, spec.tasks + 1)]
-    with np.load(spec.path) as archive:
+    with open_npz(spec.path) as archive:
         if "x" not in archive or "y" not in archive:
             raise DataError(f"{spec.path} must contain arrays 'x' and 'y'")
         x_all = np.asarray(archive["x"])

@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """Corrupt or truncated checkpoint file.
+    """Corrupt or truncated checkpoint or data file.
 
     ``offset`` is the byte position at which parsing failed.
     """

@@ -71,17 +71,14 @@ class NetworkSpec:
     head_input_dim: int
     strides: tuple[int, ...]
     paddings: tuple[int, ...]
-    dropout_rates: tuple[float, ...]
 
     def __post_init__(self):
         n_layers = len(self.layers)
         if n_layers == 0:
             raise ConfigError("network needs at least one layer")
-        for name in ("strides", "paddings", "dropout_rates"):
+        for name in ("strides", "paddings"):
             if len(getattr(self, name)) != n_layers:
                 raise ConfigError(f"{name} must have one entry per layer")
-        if not all(0.0 <= rate < 1.0 for rate in self.dropout_rates):
-            raise ConfigError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.n != prev.c:
                 raise ConfigError(
@@ -107,7 +104,6 @@ class NetworkSpec:
         kernel: int = 3,
         stride=1,
         padding=1,
-        dropout: float = 0.0,
     ) -> "NetworkSpec":
         """Conv stack helper; head width inferred from geometry.
 
@@ -133,7 +129,6 @@ class NetworkSpec:
             head_input_dim=_feature_dim(layers, input_hw, strides, paddings),
             strides=strides,
             paddings=paddings,
-            dropout_rates=(dropout,) * n,
         )
 
 
@@ -316,17 +311,13 @@ def graph_forward(
     weights: list[int],
     spec: NetworkSpec,
     x_node: int,
-    dropout_seed: int = 0,
 ) -> int:
     """Training-time conv stack forward on graph nodes; returns flattened feature node.
 
     ``x_node`` is batch-major ``(N, C, H, W)`` and the result is
     ``(N, head_input_dim)``.  In between, activations are batch-innermost
     ``(C, H, W, N)``: one transpose on entry and one before the flatten.
-    Each layer with a positive dropout rate drops: layer l's dropout node
-    draws its mask from ``dropout_seed + l``, over that batch-innermost
-    shape, so which entries a seeded run drops depends on the layout.
-    Inference runs :func:`forward_features`, which has no dropout.
+    Inference runs :func:`forward_features`, the same stack on plain arrays.
     """
     batch = g.value(x_node).shape[0]
     h = g.transpose(x_node, (1, 2, 3, 0))
@@ -336,14 +327,11 @@ def graph_forward(
             stride=spec.strides[l], padding=spec.paddings[l],
         )
         h = g.relu(h)
-        rate = spec.dropout_rates[l]
-        if rate > 0.0:
-            h = g.dropout(h, rate=rate, seed=dropout_seed + l)
     return g.reshape(g.transpose(h, (3, 0, 1, 2)), (batch, spec.head_input_dim))
 
 
 def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
-    """Inference-mode conv stack on plain arrays (no dropout).
+    """Inference-mode conv stack on plain arrays.
 
     Takes batch-major ``(N, C, H, W)`` input and returns C-contiguous
     ``(N, head_input_dim)`` features; the conv stack runs batch-innermost

@@ -17,11 +17,11 @@ reverse-tape order as a pass over that group's own loss would.
 
 A step's tape has one shape for every batch of a size, so a task builds
 it once per batch size and re-runs it for later steps, feeding in the
-batch, its labels and the dropout seed; the result is bitwise that of a
-fresh tape per step.  Adam keeps the parameters, moments and gradient in
-flat buffers, so its update is one vectorized formula over all of them.
-Each trainable leaf holds its parameter's view into Adam's buffer, so a
-step is never fed its parameters: the tape reads what Adam last wrote.
+batch and its labels; the result is bitwise that of a fresh tape per
+step.  Adam keeps the parameters, moments and gradient in flat buffers,
+so its update is one vectorized formula over all of them.  Each
+trainable leaf holds its parameter's view into Adam's buffer, so a step
+is never fed its parameters: the tape reads what Adam last wrote.
 """
 
 from __future__ import annotations
@@ -148,10 +148,6 @@ def _epoch_order(cfg: TrainConfig, task: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _dropout_seed(cfg: TrainConfig, task: int, epoch: int, start: int) -> int:
-    return int(np.random.SeedSequence([cfg.seed, task, epoch, start]).generate_state(1)[0])
-
-
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
@@ -160,33 +156,28 @@ class _StepTape:
     """One training step's tape for one batch size: built once, then re-run.
 
     The first step builds the tape with its batch; every later step of
-    that size feeds the values that change (the batch, its labels and the
-    dropout seed) and re-runs it, so the tape's shape and every check made
-    while building it stay as they were built.  The parameter leaves hold
-    the ``params`` arrays themselves, which Adam updates in place.
+    that size feeds the values that change (the batch and its labels) and
+    re-runs it, so the tape's shape and every check made while building it
+    stay as they were built.  The parameter leaves hold the ``params``
+    arrays themselves, which Adam updates in place.
     """
 
     def __init__(self, spec: fz.NetworkSpec, params: dict[str, np.ndarray], build,
-                 x: np.ndarray, y: np.ndarray, seed: int):
+                 x: np.ndarray, y: np.ndarray):
         g = self.graph = ad.Graph()
         weights, penalties = build(g)
         self.x = g.leaf(x)
-        feats = fz.graph_forward(g, weights, spec, self.x, dropout_seed=seed)
+        feats = fz.graph_forward(g, weights, spec, self.x)
         hw = g.leaf(params["head_w"], trainable=True, name="head_w")
         hb = g.leaf(params["head_b"], trainable=True, name="head_b")
         self.task_loss = self.loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
         for term in penalties():
             self.loss = g.add(self.loss, term)
-        # each dropout node's seed is the step's seed plus a fixed offset
-        self.dropout = [(nid, node.aux["seed"] - seed) for nid, node in enumerate(g.nodes)
-                        if node.op == "dropout"]
 
-    def run(self, x: np.ndarray, y: np.ndarray, seed: int):
+    def run(self, x: np.ndarray, y: np.ndarray):
         g = self.graph
         g.feed(self.x, x)
         g.feed(self.task_loss, y)
-        for nid, offset in self.dropout:
-            g.feed(nid, seed + offset)
         g.rerun()
 
     def objective(self) -> float:
@@ -218,7 +209,6 @@ def _fit(
     into Adam's parameter buffer; at the end it is an array of its own.
     """
     adam = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
-    use_dropout = any(r > 0 for r in spec.dropout_rates)
     n = data.train_x.shape[0]
     tapes: dict[int, _StepTape] = {}
     for epoch in range(cfg.epochs):
@@ -227,12 +217,11 @@ def _fit(
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             x, y = data.train_x[batch], data.train_y[batch]
-            seed = _dropout_seed(cfg, task, epoch, start) if use_dropout else 0
             tape = tapes.get(len(batch))
             if tape is None:
-                tape = tapes[len(batch)] = _StepTape(spec, params, build, x, y, seed)
+                tape = tapes[len(batch)] = _StepTape(spec, params, build, x, y)
             else:
-                tape.run(x, y, seed)
+                tape.run(x, y)
             if not np.isfinite(tape.objective()):
                 raise TrainingError(
                     "non-finite training objective", task=task, epoch=epoch, step=step

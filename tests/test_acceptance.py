@@ -207,9 +207,6 @@ def _op_graph(op: str, rng):
         loss = g.frobenius_norm(g.linear(flat, leaf((6, 2)), g.leaf(np.zeros(2, np.float32))))
     elif op == "relu":
         loss = g.frobenius_norm(g.relu(leaf((4, 4), floor=0.3)))
-    elif op == "dropout":
-        h = g.dropout(leaf((4, 4), floor=0.3), rate=0.4, seed=int(rng.integers(1e6)))
-        loss = g.frobenius_norm(h)
     elif op == "reshape":
         loss = g.frobenius_norm(g.reshape(leaf((2, 6)), (3, 4)))
     elif op == "linear":

@@ -490,3 +490,19 @@ def test_wrong_npz_kind_rejected(tmp_path):
     with pytest.raises(FormatError, match="not a dense-model file") as err:
         ck.load_dense_models(path)
     assert err.value.offset == 0
+
+
+@pytest.mark.parametrize("name, content", [
+    ("empty.npz", b""),
+    ("junk.npz", b"not an npz!"),
+    ("array.npy", None),  # np.load reads a bare array, not an archive
+])
+def test_a_file_that_is_not_an_npz_archive_is_a_format_error(tmp_path, name, content):
+    path = tmp_path / name
+    if content is None:
+        np.save(path, np.zeros(3))
+    else:
+        path.write_bytes(content)
+    for load in (ck.load_dataset, ck.load_task_factors):
+        with pytest.raises(FormatError, match="not a readable npz archive"):
+            load(path)

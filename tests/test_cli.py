@@ -126,6 +126,27 @@ def test_train_reports_bad_config_values_as_one_error_line(tmp_path, capsys, ove
     assert not out.exists()
 
 
+def test_train_reports_an_unreadable_split_file_as_one_error_line(tmp_path, capsys):
+    junk = tmp_path / "junk.npz"
+    junk.write_bytes(b"not an npz!")
+    config = write_config(tmp_path / "cfg.json", kind="split_file",
+                          partitions=[[0, 1], [2, 3], [4, 5]])
+    blob = json.loads(config.read_text())
+    config.write_text(json.dumps({**blob, "path": str(junk)}))  # write_config's own argument is `path`
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert str(junk) in only_error_line(capsys)
+    assert not out.exists()
+
+
+def test_dropout_is_an_unknown_config_key(tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", dropout=0.25)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert only_error_line(capsys) == "error: unknown config keys: dropout"
+    assert not out.exists()
+
+
 # -- train artifacts -------------------------------------------------------------------
 
 
@@ -208,6 +229,25 @@ def test_eval_reports_an_empty_test_split_as_one_error_line(train_run, tmp_path,
         ])
     assert code == 1
     assert "empty test split" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("edit, says", [
+    (lambda arrays: arrays.update(classes=np.array([2, 3])), "classes"),
+    (lambda arrays: arrays.pop("train_x"), "train_x"),
+    (lambda arrays: arrays.update(test_y=np.full(arrays["test_y"].shape, 0.5)), "test_y"),
+    (lambda arrays: arrays.update(classes=np.array(2.7)), "classes"),
+], ids=["vector-classes", "no-train_x", "float-labels", "fractional-classes"])
+def test_eval_reports_a_malformed_dataset_as_one_error_line(train_run, tmp_path, capsys, edit, says):
+    with np.load(train_run / "task1_data.npz") as blob:
+        arrays = dict(blob)
+    edit(arrays)
+    np.savez(tmp_path / "bad.npz", **arrays)
+    code = main([
+        "eval", "--model", str(train_run / "space.cacl"),
+        "--task", "1", "--data", str(tmp_path / "bad.npz"),
+    ])
+    assert code == 1
+    assert says in only_error_line(capsys)
 
 
 def test_eval_reads_dense_models(dense_run, capsys):

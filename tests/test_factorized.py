@@ -55,7 +55,7 @@ def test_network_spec_channel_mismatch():
         fz.NetworkSpec(
             layers=(fz.LayerShape(4, 2, 3, 3), fz.LayerShape(4, 8, 3, 3)),
             input_hw=(5, 5), head_input_dim=100,
-            strides=(1, 1), paddings=(1, 1), dropout_rates=(0.0, 0.0),
+            strides=(1, 1), paddings=(1, 1),
         )
 
 
@@ -64,7 +64,7 @@ def test_network_spec_head_dim_checked():
         fz.NetworkSpec(
             layers=(fz.LayerShape(4, 2, 3, 3),),
             input_hw=(5, 5), head_input_dim=7,
-            strides=(1,), paddings=(1,), dropout_rates=(0.0,),
+            strides=(1,), paddings=(1,),
         )
 
 
