@@ -2,16 +2,16 @@
 """
 The command-line workflow end to end.
 
-  factorcl train    --config cfg.json --out run/
-  factorcl eval     --model run/space.cacl --data run/task2_data.npz --task 2
-  factorcl compress --model run/task1_raw.npz --energy 1e-1 --out pruned.npz
-  factorcl report   --runs .
+  factorcl train  --config cfg.json --out run/
+  factorcl eval   --model run/space.cacl --data run/task2_data.npz --task 2
+  factorcl report --runs .
 
-train writes the final space, per-task raw (uncompressed) factors, the
-per-task datasets, metrics.json, and ranks.csv. eval reloads from disk and
-prints a task's accuracy. compress re-prunes a raw checkpoint at a new
-threshold without retraining. report aggregates metrics.json files across
-the run directories under --runs.
+train writes the final space, the per-task datasets, metrics.json, and
+ranks.csv. eval reloads from disk and prints a task's accuracy. Between
+eval and report, the demo reads run/metrics.json and prints what pruning
+did to each task's layers: the trained rank (the layer's expansion rank),
+the rank kept, and the relative error of the kept weight. report
+aggregates metrics.json files across the run directories under --runs.
 """
 
 import json
@@ -19,6 +19,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+from factorcl.cli import load_config
+from factorcl.metrics import MetricsReport
 
 CONFIG = {
     "kind": "synthetic_blobs",
@@ -62,8 +65,15 @@ def main():
             "--data", os.path.join(out, "task2_data.npz"), "--task", "2")
         print()
 
-        run("compress", "--model", os.path.join(out, "task1_raw.npz"),
-            "--energy", "1e-1", "--out", os.path.join(tmp, "task1_pruned.npz"))
+        print("pruning, from run/metrics.json:")
+        _, spec, _ = load_config(cfg_path)
+        with open(os.path.join(out, "metrics.json")) as fh:
+            report = MetricsReport.from_json(fh.read())
+        for t in range(len(report.acc_matrix)):
+            for l, shape in enumerate(spec.layers):
+                print(f"task {t + 1} layer {l}: rank {shape.expansion_rank()} -> "
+                      f"{report.rank_allocation[l][t]}, "
+                      f"relative error {report.prune_error[l][t]:.6f}")
         print()
 
         run("report", "--runs", tmp)

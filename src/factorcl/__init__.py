@@ -10,11 +10,9 @@ from .checkpoint import (
     load_dataset,
     load_dense_models,
     load_space,
-    load_task_factors,
     save_dataset,
     save_dense_models,
     save_space,
-    save_task_factors,
 )
 from .compression import PruneConfig, compress, energy_prune, retained_rank, sort_by_magnitude
 from .datasets import TaskDataset, TaskStreamSpec, generate_stream
@@ -81,7 +79,6 @@ __all__ = [
     "load_dataset",
     "load_dense_models",
     "load_space",
-    "load_task_factors",
     "param_count",
     "predict_logits",
     "retained_rank",
@@ -89,7 +86,6 @@ __all__ = [
     "save_dataset",
     "save_dense_models",
     "save_space",
-    "save_task_factors",
     "size_bytes",
     "sort_by_magnitude",
     "train_task",

@@ -31,9 +31,8 @@ over MAX_DENSE_WEIGHTS of them is rejected as they are read: a zero-rank
 file of a hundred bytes could otherwise ask for gigabytes.  Loaded
 arrays are owned, writable and C-contiguous.
 
-Raw task checkpoints and datasets are plain npz archives.  A raw task
-checkpoint is checked on load against its own geometry: shapes, and
-that every value is finite.
+Datasets are plain npz archives, read eagerly: a damaged archive is a
+FormatError naming the file.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ import struct
 
 import numpy as np
 
-from .datasets import TaskDataset, open_npz
+from .datasets import TaskDataset, read_npz
 from .errors import FormatError
-from .factorized import LayerShape, NetworkSpec, SharedSpace, TaskFactors, TaskHead
+from .factorized import LayerShape, NetworkSpec, SharedSpace, TaskHead
 from .linalg import DTYPE
 from .trainer import DenseTaskModels
 
@@ -343,95 +342,7 @@ def load_dense_models(path_or_binary_file) -> DenseTaskModels:
         return dense_from_bytes(f.read())
 
 
-# -- npz artifacts -------------------------------------------------------------------
-
-
-def _spec_arrays(spec: NetworkSpec) -> dict:
-    return {
-        "layers": np.array([[s.c, s.n, s.h, s.w] for s in spec.layers], dtype=np.int64),
-        "strides": np.array(spec.strides, dtype=np.int64),
-        "paddings": np.array(spec.paddings, dtype=np.int64),
-        "input_hw": np.array(spec.input_hw, dtype=np.int64),
-        "head_input_dim": np.array(spec.head_input_dim, dtype=np.int64),
-    }
-
-
-def _spec_from_arrays(blob) -> NetworkSpec:
-    try:
-        layers = tuple(LayerShape(*(int(v) for v in row)) for row in blob["layers"])
-        return NetworkSpec(
-            layers=layers,
-            input_hw=tuple(int(v) for v in blob["input_hw"]),
-            head_input_dim=int(blob["head_input_dim"]),
-            strides=tuple(int(v) for v in blob["strides"]),
-            paddings=tuple(int(v) for v in blob["paddings"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"stored network geometry is inconsistent: {exc}") from exc
-
-
-def _real_array(blob, name: str, shape: tuple) -> np.ndarray:
-    """``blob[name]`` as float32, checked: ``shape`` (None matches any length k), all finite."""
-    if name not in blob:
-        raise FormatError(f"task checkpoint has no array {name}")
-    a = blob[name]
-    if a.ndim != len(shape) or any(want not in (None, got) for got, want in zip(a.shape, shape)):
-        want = ", ".join("k" if d is None else str(d) for d in shape)
-        raise FormatError(f"{name} has shape {a.shape}, expected ({want}{',' * (len(shape) == 1)})")
-    if a.dtype.kind != "f":
-        raise FormatError(f"{name} holds {a.dtype} values, not reals")
-    with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
-        out = a.astype(DTYPE)
-    if not np.isfinite(out).all():
-        raise FormatError(f"{name} holds a non-finite value")
-    return out
-
-
-def save_task_factors(path, spec: NetworkSpec, factors: TaskFactors, head: TaskHead) -> None:
-    """Uncompressed single-task checkpoint (input to standalone compression)."""
-    arrays = _spec_arrays(spec)
-    arrays["task"] = np.array(factors.task, dtype=np.int64)
-    for l in range(spec.num_layers):
-        arrays[f"u{l}"] = factors.u[l]
-        arrays[f"sigma{l}"] = factors.sigma[l]
-        arrays[f"v{l}"] = factors.v[l]
-    arrays["head_w"] = head.weight
-    arrays["head_b"] = head.bias
-    np.savez(path, **arrays)
-
-
-def load_task_factors(path) -> tuple[NetworkSpec, TaskFactors, TaskHead]:
-    """Read a raw task checkpoint, checked against its own geometry.
-
-    Each layer holds a 1-D ``sigma{l}`` of some rank r, ``u{l}`` of c x r
-    and ``v{l}`` of q x r; the head is head_input_dim x classes plus a
-    bias of ``classes``.  A missing array, another shape or a non-finite
-    value raises FormatError naming the array, and so do layers whose
-    dense weights sum to over MAX_DENSE_WEIGHTS.
-    """
-    with open_npz(path) as blob:
-        if "task" not in blob or "head_w" not in blob:
-            raise FormatError("npz file is not a task checkpoint")
-        spec = _spec_from_arrays(blob)
-        # compress builds each layer's dense weight, and rank-0 factors cost no bytes
-        dense = sum(s.c * s.q for s in spec.layers)
-        if dense > MAX_DENSE_WEIGHTS:
-            raise FormatError(f"layers need {dense} dense weights, over the cap of "
-                              f"{MAX_DENSE_WEIGHTS}")
-        task = blob["task"]
-        if task.shape != () or task.dtype.kind not in "iu" or task < 1:
-            raise FormatError(f"task must be a positive integer, got {task!r}")
-        u, sigma, v = [], [], []
-        for l, s in enumerate(spec.layers):
-            sigma.append(_real_array(blob, f"sigma{l}", (None,)))
-            r = sigma[-1].shape[0]
-            u.append(_real_array(blob, f"u{l}", (s.c, r)))
-            v.append(_real_array(blob, f"v{l}", (s.q, r)))
-        weight = _real_array(blob, "head_w", (spec.head_input_dim, None))
-        if weight.shape[1] == 0:
-            raise FormatError("head_w has no classes")
-        bias = _real_array(blob, "head_b", (weight.shape[1],))
-    return spec, TaskFactors(task=int(task), u=u, sigma=sigma, v=v), TaskHead(weight, bias)
+# -- datasets (npz) ------------------------------------------------------------------
 
 
 # the arrays of a dataset archive and the numpy dtype kinds each may have
@@ -458,11 +369,10 @@ def load_dataset(path) -> TaskDataset:
     inputs that are not real numbers or labels that are not integers raise
     FormatError naming the array.
     """
-    with open_npz(path) as blob:
-        missing = [name for name in _DATASET_KINDS if name not in blob]
-        if missing:
-            raise FormatError(f"npz file is not a task dataset: no {', '.join(missing)}")
-        arrays = {name: blob[name] for name in _DATASET_KINDS}
+    arrays = read_npz(path, _DATASET_KINDS)
+    missing = [name for name in _DATASET_KINDS if name not in arrays]
+    if missing:
+        raise FormatError(f"npz file is not a task dataset: no {', '.join(missing)}")
     for name, kinds in _DATASET_KINDS.items():
         if arrays[name].dtype.kind not in kinds:
             raise FormatError(f"{name} has dtype {arrays[name].dtype}, not {_KIND_NAMES[kinds]}")

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands:
-    train     run a continual stream from a flat JSON config, write artifacts
+    train     run a continual stream from a flat JSON config; write the model,
+              metrics.json, ranks.csv and each task's dataset
     eval      accuracy of one task's extracted sub-network on a saved dataset
-    compress  re-prune a saved uncompressed task checkpoint at a new energy
     report    aggregate metrics.json files from several runs into mean(std)
 
 Config files are a single flat JSON object; see CONFIG_KEYS (stream and
@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ck
-from . import compression as cp
 from . import factorized as fz
 from . import trainer as tr
 from .datasets import TaskStreamSpec, generate_stream
@@ -123,15 +122,12 @@ def cmd_train(args) -> int:
     stream = generate_stream(stream_spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    raw: list = []
-    model, report = tr.run_continual(stream, spec, cfg, raw_sink=raw)
+    model, report = tr.run_continual(stream, spec, cfg)
 
     if cfg.mode == "baseline_ub":
         ck.save_dense_models(out / "models.cacd", model)
     else:
         ck.save_space(out / "space.cacl", model)
-        for t, (factors, head) in enumerate(raw, 1):
-            ck.save_task_factors(out / f"task{t}_raw.npz", spec, factors, head)
     (out / "metrics.json").write_text(report.to_json())
     _write_rank_csv(out / "ranks.csv", report.rank_allocation, len(stream))
     for t, data in enumerate(stream, 1):
@@ -165,24 +161,6 @@ def cmd_eval(args) -> int:
     acc = tr.accuracy(predict(args.task, data.test_x), data.test_y)
     # full precision so downstream comparisons can be exact
     print(f"task {args.task} accuracy {acc:.17g}")
-    return 0
-
-
-def cmd_compress(args) -> int:
-    spec, factors, head = ck.load_task_factors(args.model)
-    cfg = cp.PruneConfig(energy_e=args.energy)
-    pruned = cp.compress(factors, cfg)
-    for l in range(spec.num_layers):
-        w_full = fz.dense_weight(factors.u[l], factors.sigma[l], factors.v[l])
-        w_kept = fz.dense_weight(pruned.u[l], pruned.sigma[l], pruned.v[l])
-        denom = np.linalg.norm(w_full)
-        err = float(np.linalg.norm(w_full - w_kept) / denom) if denom > 0 else 0.0
-        print(
-            f"layer {l}: rank {factors.sigma[l].size} -> {pruned.sigma[l].size}, "
-            f"relative error {err:.6f}"
-        )
-    ck.save_task_factors(args.out, spec, pruned, head)
-    print(f"compressed checkpoint written to {args.out}")
     return 0
 
 
@@ -226,12 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, type=int, help="1-based task id")
     p.add_argument("--data", required=True, help="task dataset npz file")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("compress", help="re-prune an uncompressed task checkpoint")
-    p.add_argument("--model", required=True, help="taskN_raw.npz checkpoint")
-    p.add_argument("--energy", required=True, type=float, help="pruning energy e")
-    p.add_argument("--out", required=True, help="output npz path")
-    p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("report", help="aggregate metrics.json over run directories")
     p.add_argument("--runs", required=True, help="directory containing run directories")

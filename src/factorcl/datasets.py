@@ -16,7 +16,9 @@ bitwise reproducible from its seed.
 from __future__ import annotations
 
 import math
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,22 +30,25 @@ TRAIN_FRACTION = 0.8
 BLOB_NOISE = 0.15
 
 
-def open_npz(path) -> np.lib.npyio.NpzFile:
-    """Open an npz archive without pickles.
+def read_npz(path, names) -> dict[str, np.ndarray]:
+    """Those of the arrays ``names`` that an npz archive holds, read now, without pickles.
 
     A missing file raises FileNotFoundError; any other file that is not a
-    readable npz archive, a bare ``.npy`` array included, is a FormatError
-    naming ``path``.
+    readable npz archive, a bare ``.npy`` array or a damaged member
+    included, is a FormatError naming ``path``.
     """
     try:
         blob = np.load(path, allow_pickle=False)
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        if isinstance(exc, FileNotFoundError):
-            raise
+        if isinstance(blob, np.lib.npyio.NpzFile):
+            with blob:
+                return {name: blob[name] for name in names if name in blob}
+    except FileNotFoundError:
+        raise
+    # a damaged member fails its CRC, or inflating it, or parsing its header
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error,
+            tokenize.TokenError) as exc:
         raise FormatError(f"not a readable npz archive: {path}") from exc
-    if not isinstance(blob, np.lib.npyio.NpzFile):
-        raise FormatError(f"not a readable npz archive: {path}")
-    return blob
+    raise FormatError(f"not a readable npz archive: {path}")  # a bare .npy array
 
 
 @dataclass
@@ -188,11 +193,11 @@ def _file_task(spec: TaskStreamSpec, t: int, x_all: np.ndarray, y_all: np.ndarra
 def generate_stream(spec: TaskStreamSpec) -> list[TaskDataset]:
     if spec.kind == "synthetic_blobs":
         return [_blob_task(spec, t) for t in range(1, spec.tasks + 1)]
-    with open_npz(spec.path) as archive:
-        if "x" not in archive or "y" not in archive:
-            raise DataError(f"{spec.path} must contain arrays 'x' and 'y'")
-        x_all = np.asarray(archive["x"])
-        y_all = np.asarray(archive["y"]).astype(np.int64)
+    archive = read_npz(spec.path, ("x", "y"))
+    if "x" not in archive or "y" not in archive:
+        raise DataError(f"{spec.path} must contain arrays 'x' and 'y'")
+    x_all = archive["x"]
+    y_all = archive["y"].astype(np.int64)
     if x_all.shape[0] != y_all.shape[0]:
         raise DataError("x and y lengths differ")
     expected = math.prod(spec.input_shape)

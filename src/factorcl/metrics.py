@@ -23,6 +23,12 @@ class MetricsReport:
     costing more than its dense weight: ``{"layer", "width",
     "parity_width", "first_task"}``, the layer's final stored width, its
     parity width and the first task whose append passed it.
+
+    ``prune_error[l][t-1]``, laid out like ``rank_allocation``, is
+    ||W_trained - W_appended||_F / ||W_trained||_F for layer l of task t:
+    the relative error of pruning (and in ``fixed`` mode capping) the
+    trained factors, of the layer's expansion rank, to the appended ones
+    (0.0 for a zero W_trained).  Dense mode has none.
     """
 
     acc_matrix: np.ndarray
@@ -33,6 +39,7 @@ class MetricsReport:
     wall_clock: list[float] = field(default_factory=list)
     config: dict = field(default_factory=dict)
     parity_crossings: list[dict] = field(default_factory=list)
+    prune_error: list[list[float]] = field(default_factory=list)
 
     @property
     def size_mb(self) -> float:
@@ -54,6 +61,7 @@ class MetricsReport:
                 "wall_clock": self.wall_clock,
                 "config": self.config,
                 "parity_crossings": self.parity_crossings,
+                "prune_error": self.prune_error,
             },
             indent=2,
         )
@@ -89,6 +97,7 @@ class MetricsReport:
             wall_clock=blob.get("wall_clock", []),
             config=blob.get("config", {}),
             parity_crossings=blob.get("parity_crossings", []),
+            prune_error=blob.get("prune_error", []),
         )
 
 
@@ -112,6 +121,7 @@ def compute_metrics(
     wall_clock=None,
     config=None,
     parity_crossings=None,
+    prune_error=None,
 ) -> MetricsReport:
     matrix = as_matrix(acc_rows)
     t = matrix.shape[0]
@@ -135,4 +145,5 @@ def compute_metrics(
         wall_clock=wall_clock or [],
         config=config or {},
         parity_crossings=parity_crossings or [],
+        prune_error=prune_error or [],
     )

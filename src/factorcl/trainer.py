@@ -353,18 +353,24 @@ def _accuracies(predict, stream: list[TaskDataset], t: int) -> list[float]:
     return [accuracy(predict(i, d.test_x), d.test_y) for i, d in enumerate(stream[:t], 1)]
 
 
-def run_continual(
-    stream: list[TaskDataset], spec: fz.NetworkSpec, cfg: TrainConfig, raw_sink: list | None = None
-):
+def _prune_error(trained: fz.TaskFactors, kept: fz.TaskFactors) -> list[float]:
+    """Per layer, ||W_trained - W_kept||_F / ||W_trained||_F; 0.0 where W_trained is 0."""
+    errors = []
+    for l in range(len(trained.sigma)):
+        w = fz.dense_weight(trained.u[l], trained.sigma[l], trained.v[l])
+        lost = w - fz.dense_weight(kept.u[l], kept.sigma[l], kept.v[l])
+        norm = float(np.linalg.norm(w))
+        errors.append(float(np.linalg.norm(lost)) / norm if norm > 0 else 0.0)
+    return errors
+
+
+def run_continual(stream: list[TaskDataset], spec: fz.NetworkSpec, cfg: TrainConfig):
     """Train the stream under cfg.mode; returns (model, MetricsReport).
 
     The model is a SharedSpace for factorized modes and DenseTaskModels
     for the dense upper-bound mode.  Task i is always evaluated through
     its extracted sub-network, so the accuracy matrix has constant
     columns below the diagonal by construction.
-
-    ``raw_sink``, if given, receives each task's trained-but-unpruned
-    (factors, head) pair; dense mode leaves it empty.
     """
     if not stream:
         raise ConfigError("task stream is empty")
@@ -389,6 +395,7 @@ def run_continual(
     space = fz.empty_space(spec, isolated=(cfg.mode == "st"))
     caps = [s.expansion_rank() for s in spec.layers] if cfg.mode == "fixed" else None
     crossed: dict[int, int] = {}  # layer -> first task whose append passed parity width
+    prune_error: list[list[float]] = []  # [task][layer]; the report is [layer][task]
     for t, data in enumerate(stream, 1):
         begin = time.perf_counter()
         fresh, head = fz.expand(spec, t, cfg.seed, data.classes)
@@ -396,12 +403,11 @@ def run_continual(
         trained, trained_head = train_task(
             data, space if use_shared else None, fresh, head, cfg, spec=spec
         )
-        if raw_sink is not None:
-            raw_sink.append((trained.copy(), trained_head.copy()))
         pruned = cp.compress(trained, cfg.prune_config())
         if caps is not None:
             remaining = [caps[l] - space.total_width(l) for l in range(spec.num_layers)]
             pruned = cp.cap_ranks(pruned, remaining)
+        prune_error.append(_prune_error(trained, pruned))
         space = fz.append(space, pruned, trained_head)
         for l, shape in enumerate(spec.layers):
             if l not in crossed and space.total_width(l) > shape.expansion_rank():
@@ -428,6 +434,6 @@ def run_continual(
     report = compute_metrics(
         acc_rows, fz.size_bytes(space),
         rank_allocation=rank_alloc, wall_clock=wall, config=asdict(cfg),
-        parity_crossings=crossings,
+        parity_crossings=crossings, prune_error=[list(row) for row in zip(*prune_error)],
     )
     return space, report

@@ -139,6 +139,30 @@ def test_train_reports_an_unreadable_split_file_as_one_error_line(tmp_path, caps
     assert not out.exists()
 
 
+def _damage_member(path, member: str) -> None:
+    """Flip two bytes of ``member``'s data, 300 bytes past its name in the archive."""
+    blob = bytearray(path.read_bytes())
+    at = blob.index(member.encode()) + 300
+    blob[at] ^= 0xFF
+    blob[at + 1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def test_train_reports_a_damaged_split_file_member_as_one_error_line(tmp_path, capsys):
+    split = tmp_path / "split.npz"
+    rng = np.random.default_rng(0)
+    np.savez(split, x=rng.normal(size=(60, 2, 3, 3)), y=np.repeat(np.arange(6), 10))
+    _damage_member(split, "x.npy")
+    config = write_config(tmp_path / "cfg.json", kind="split_file",
+                          partitions=[[0, 1], [2, 3], [4, 5]])
+    blob = json.loads(config.read_text())
+    config.write_text(json.dumps({**blob, "path": str(split)}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert only_error_line(capsys) == f"error: not a readable npz archive: {split}"
+    assert not out.exists()
+
+
 def test_dropout_is_an_unknown_config_key(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", dropout=0.25)
     out = tmp_path / "run"
@@ -154,8 +178,7 @@ def test_train_writes_all_artifacts(train_run):
     names = {p.name for p in train_run.iterdir()}
     expected = {"space.cacl", "metrics.json", "ranks.csv"}
     expected |= {f"task{t}_data.npz" for t in (1, 2, 3)}
-    expected |= {f"task{t}_raw.npz" for t in (1, 2, 3)}
-    assert expected <= names
+    assert names == expected
 
 
 def test_rank_csv_sums_match_model(train_run):
@@ -250,6 +273,17 @@ def test_eval_reports_a_malformed_dataset_as_one_error_line(train_run, tmp_path,
     assert says in only_error_line(capsys)
 
 
+def test_eval_reports_a_damaged_dataset_member_as_one_error_line(train_run, tmp_path, capsys):
+    data = tmp_path / "task1_data.npz"
+    data.write_bytes((train_run / "task1_data.npz").read_bytes())
+    _damage_member(data, "train_x.npy")
+    code = main([
+        "eval", "--model", str(train_run / "space.cacl"), "--task", "1", "--data", str(data),
+    ])
+    assert code == 1
+    assert only_error_line(capsys) == f"error: not a readable npz archive: {data}"
+
+
 def test_eval_reads_dense_models(dense_run, capsys):
     assert (dense_run / "models.cacd").is_file()
     code = main([
@@ -290,66 +324,6 @@ def test_eval_reports_a_bad_dense_model_as_one_error_line(dense_run, tmp_path, c
     ])
     assert code == 1
     assert says in only_error_line(capsys)
-
-
-# -- compress --------------------------------------------------------------------------
-
-
-def test_compress_reports_and_writes(train_run, tmp_path, capsys):
-    out = tmp_path / "small.npz"
-    code = main([
-        "compress", "--model", str(train_run / "task1_raw.npz"),
-        "--energy", "0.5", "--out", str(out),
-    ])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert sum("relative error" in line for line in lines) == 2
-    spec, raw, _ = ck.load_task_factors(train_run / "task1_raw.npz")
-    _, pruned, _ = ck.load_task_factors(out)
-    assert all(a <= b for a, b in zip(pruned.ranks(), raw.ranks()))
-
-
-def test_compress_rejects_space_file(train_run, tmp_path, capsys):
-    code = main([
-        "compress", "--model", str(train_run / "space.cacl"),
-        "--energy", "0.1", "--out", str(tmp_path / "x.npz"),
-    ])
-    assert code == 1
-
-
-def test_compress_reports_a_bad_energy_as_one_error_line(train_run, tmp_path, capsys):
-    out = tmp_path / "x.npz"
-    code = main([
-        "compress", "--model", str(train_run / "task1_raw.npz"),
-        "--energy", "1.5", "--out", str(out),
-    ])
-    assert code == 1
-    assert "energy_e" in only_error_line(capsys)
-    assert not out.exists()
-
-
-def _nan_first(a):
-    a = a.copy()
-    a.flat[0] = np.nan
-    return a
-
-
-@pytest.mark.parametrize("name, edit", [
-    ("u0", _nan_first),
-    ("u0", lambda a: a[:, :-1]),  # one column fewer than sigma0 has entries
-    ("v0", lambda a: a[:5]),  # 5 of its 18 rows
-], ids=["u0 with a NaN", "u0 cut", "v0 cut"])
-def test_compress_reports_a_bad_checkpoint_as_one_error_line(train_run, tmp_path, capsys, name, edit):
-    with np.load(train_run / "task1_raw.npz") as blob:
-        arrays = dict(blob)
-    arrays[name] = edit(arrays[name])
-    bad = tmp_path / "bad_raw.npz"
-    np.savez(bad, **arrays)
-    out = tmp_path / "x.npz"
-    code = main(["compress", "--model", str(bad), "--energy", "0.1", "--out", str(out)])
-    assert code == 1
-    assert name in only_error_line(capsys)
-    assert not out.exists()
 
 
 # -- report ----------------------------------------------------------------------------

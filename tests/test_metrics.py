@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,7 @@ def test_json_round_trip():
         rank_allocation=[[3, 1], [2, 2]],
         wall_clock=[0.5, 0.6],
         config={"mode": "full", "seed": 3},
+        prune_error=[[1.5e-6, 0.25], [0.0, 1.0]],
     )
     back = MetricsReport.from_json(report.to_json())
     np.testing.assert_array_equal(np.isnan(back.acc_matrix), np.isnan(report.acc_matrix))
@@ -90,6 +93,13 @@ def test_json_round_trip():
     assert back.size_bytes == 4321
     assert back.rank_allocation == [[3, 1], [2, 2]]
     assert back.config == {"mode": "full", "seed": 3}
+    assert back.prune_error == [[1.5e-6, 0.25], [0.0, 1.0]]
+
+
+def test_metrics_json_of_earlier_runs_has_no_prune_error():
+    blob = json.loads(compute_metrics([[0.9]], size_bytes=8).to_json())
+    del blob["prune_error"]
+    assert MetricsReport.from_json(json.dumps(blob)).prune_error == []
 
 
 @given(t=st.integers(1, 6), seed=st.integers(0, 2**16))

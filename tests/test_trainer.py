@@ -458,7 +458,7 @@ def test_baseline_ub_returns_dense_models():
     models, report = tr.run_continual(stream, SPEC, tiny_cfg(mode="baseline_ub"))
     assert isinstance(models, tr.DenseTaskModels)
     assert models.num_tasks == 2
-    assert report.rank_allocation == []
+    assert report.rank_allocation == [] and report.prune_error == []
     dense = sum(s.c * s.q for s in SPEC.layers)
     heads = sum(h.param_count for h in models.heads)
     assert models.param_count() == 2 * dense + heads
@@ -512,15 +512,28 @@ def test_parity_warning_fires_once_per_run(caplog):
     assert MetricsReport.from_json(fixed.to_json()).parity_crossings == []
 
 
-def test_raw_sink_collects_unpruned_factors():
-    stream = tiny_stream(tasks=2)
-    raw: list = []
-    tr.run_continual(stream, SPEC, tiny_cfg(), raw_sink=raw)
-    assert len(raw) == 2
-    expected = tuple(s.expansion_rank() for s in SPEC.layers)
-    for factors, head in raw:
-        assert factors.ranks() == expected
-        assert head.classes == 2
+@pytest.mark.parametrize("mode", ["full", "fixed", "st"])
+def test_prune_error_is_laid_out_like_rank_allocation_and_bounded(mode):
+    _, report = tr.run_continual(tiny_stream(tasks=3), SPEC, tiny_cfg(mode=mode))
+    assert np.shape(report.prune_error) == np.shape(report.rank_allocation) == (2, 3)
+    assert all(0.0 <= e <= 1.0 for row in report.prune_error for e in row)
+
+
+def test_a_task_that_appends_nothing_has_prune_error_one():
+    # fixed mode caps each layer at its expansion rank (2), so later tasks are cut to 0
+    _, report = tr.run_continual(tiny_stream(tasks=3), SPEC, tiny_cfg(mode="fixed"))
+    empty = [(l, t) for l, row in enumerate(report.rank_allocation)
+             for t, k in enumerate(row) if k == 0]
+    assert empty
+    assert all(report.prune_error[l][t] == 1.0 for l, t in empty)
+
+
+def test_unpruned_tasks_have_no_prune_error():
+    full = [s.expansion_rank() for s in SPEC.layers]
+    cfg = tiny_cfg(min_rank=max(full), energy_e=0.5)
+    _, report = tr.run_continual(tiny_stream(tasks=3), SPEC, cfg)
+    assert report.rank_allocation == [[r] * 3 for r in full]
+    assert all(e < 1e-5 for row in report.prune_error for e in row)
 
 
 def test_rank_allocation_matches_rank_table():
