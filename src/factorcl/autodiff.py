@@ -26,6 +26,17 @@ needs returns it too, and building or re-running saves it in the node's
 ``XᵀX − I``.  Building, re-running and replaying share one per-node
 evaluation.
 
+A tape owns its step buffers.  Every activation-sized value, saved
+column block and backward temporary of ``conv2d`` (gather source,
+columns, gemm output, batch-major copies, input-gradient columns and
+``col2im`` image), ``relu``, ``transpose`` and ``linear`` is written with
+``out=`` into an array its node keeps in ``aux``: building allocates
+them, and each re-run and backward pass writes over them in place, so
+after a tape's first step a step allocates none of them.  A gradient
+that ``backward`` returns may be such a buffer, valid until the next
+re-run or backward pass.  A replay passes no store, so it allocates
+fresh arrays and leaves the tape's buffers as they were.
+
 Convolutions keep activations batch-innermost, ``(C, H, W, N)``:
 channel, then pixel, then image.  ``im2col`` and ``col2im``,
 ``conv2d_forward`` and the ``conv2d`` op all take and return that
@@ -58,7 +69,10 @@ differentiated; independent graphs never share state.  Inference
 thread holds at most the largest gather source (input rows and zero
 row) and the largest im2col matrix it has served, reused as views by
 its later calls, so threads serving concurrently never share a buffer
-and a steady serving thread allocates no column memory.  The unfold
+and a steady serving thread allocates no column memory.
+``factorized.forward_features`` feeds the conv stack chunks of images
+sized so that one chunk's columns fit ``factorized.CHUNK_BYTES``, so
+that scratch holds at most one chunk whatever the batch.  The unfold
 index tables are the one thing threads share: a bounded cache of
 read-only arrays.
 """
@@ -100,6 +114,35 @@ def _scratch(slot: str, shape: tuple[int, ...], like: np.ndarray) -> np.ndarray:
     return np.ndarray(shape, like.dtype, buf)
 
 
+def _owned(store: dict | None, key: str, shape: tuple[int, ...], dtype):
+    """The tape node's buffer ``store[key]`` for an op to write with ``out=``, or None.
+
+    ``store`` is the node's ``aux``.  A node's shapes are fixed once it is
+    built, so its first evaluation allocates the buffer and every re-run
+    and backward pass writes into the same memory.  Without a store (a
+    replay, or a call outside a tape) this returns None, and the op's
+    ``out=None`` gives a fresh array.
+    """
+    if store is None:
+        return None
+    buf = store.get(key)
+    if buf is None or buf.shape != shape:
+        buf = store[key] = np.empty(shape, dtype)
+    return buf
+
+
+def _buffer(store, key: str, shape: tuple[int, ...], like: np.ndarray) -> np.ndarray:
+    """An uninitialised array: ``store``'s buffer ``key``, or a fresh one without a store.
+
+    ``store`` is a tape node's ``aux`` (see :func:`_owned`), this
+    thread's ``_SCRATCH`` (see :func:`_scratch`) or None.
+    """
+    if store is _SCRATCH:
+        return _scratch(key, shape, like)
+    buf = _owned(store, key, shape, like.dtype)
+    return np.empty(shape, like.dtype) if buf is None else buf
+
+
 # bounded: a table holds C*kh*kw*Ho*Wo indices, and a network has a few geometries
 @functools.lru_cache(maxsize=64)
 def _unfold_table(c_in: int, h: int, w: int, kh: int, kw: int, stride: int,
@@ -123,7 +166,7 @@ def _unfold_table(c_in: int, h: int, w: int, kh: int, kw: int, stride: int,
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-           scratch: bool = False) -> np.ndarray:
+           store=None) -> np.ndarray:
     """Unfold batch-innermost ``(C, H, W, N)`` patches into a ``(C*kh*kw, Ho*Wo*N)`` matrix.
 
     Rows are ordered ``(channel, kh, kw)``, so they line up with a conv
@@ -134,25 +177,22 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     geometry's cached :func:`_unfold_table` writes each ``(channel, kh,
     kw, out row, out col)`` row of N values into the columns.
 
-    The source rows and the columns are fresh, or, with ``scratch``
-    (which only :func:`conv2d_forward` sets), views on this thread's
-    :func:`_scratch` slots ``"padded"`` (the rows and the zero row, which
-    each call rewrites) and ``"cols"``; then the result is a view that
-    the thread's next unfold overwrites.
+    The source rows and the columns are :func:`_buffer` ``"padded"`` and
+    ``"cols"`` of ``store``: fresh without one, the conv node's own on a
+    tape, and with ``_SCRATCH`` (which only :func:`conv2d_forward` passes)
+    views that the thread's next unfold overwrites.
     """
     c_in, h, w, n_im = x.shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
     pixels = c_in * h * w
-    src_shape, cols_shape = (pixels + 1, n_im), (c_in * kh * kw * out_h * out_w, n_im)
-    if scratch:
-        src, cols = _scratch("padded", src_shape, x), _scratch("cols", cols_shape, x)
-    else:
-        src, cols = np.empty(src_shape, dtype=x.dtype), np.empty(cols_shape, dtype=x.dtype)
+    src = _buffer(store, "padded", (pixels + 1, n_im), x)
+    cols = _buffer(store, "cols", (c_in * kh * kw, out_h * out_w * n_im), x)
     src[:pixels] = x.reshape(pixels, n_im)
     src[pixels] = 0
-    # every index is in range; "clip" lets take write straight into out
-    src.take(_unfold_table(c_in, h, w, kh, kw, stride, padding), axis=0, mode="clip", out=cols)
-    return cols.reshape(c_in * kh * kw, out_h * out_w * n_im)
+    # every index is in range; "clip" lets take write straight into the columns
+    src.take(_unfold_table(c_in, h, w, kh, kw, stride, padding), axis=0, mode="clip",
+             out=cols.reshape(-1, n_im))
+    return cols
 
 
 def col2im(
@@ -162,23 +202,37 @@ def col2im(
     kw: int,
     stride: int,
     padding: int,
+    store: dict | None = None,
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patch columns back to ``(C, H, W, N)``.
 
     The kernel offsets are added in row-major ``(i, j)`` order into a
     ``(C, Hp, Wp, N)`` buffer, where each strided add moves whole runs of
     N contiguous values; the result is its unpadded interior, contiguous.
+    The padded buffer and the interior are :func:`_owned` ``"img"`` and
+    ``"gx"`` of a tape node's ``store``, or fresh.
     """
     c_in, h, w, n_im = x_shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
     cols = cols.reshape(c_in, kh, kw, out_h, out_w, n_im)
-    img = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=cols.dtype)
+    img = _owned(store, "img", (c_in, h + 2 * padding, w + 2 * padding, n_im), cols.dtype)
+    if img is None:
+        img = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=cols.dtype)
+    else:
+        img.fill(0)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
             img[:, i:i_max:stride, j:j_max:stride] += cols[:, i, j]
-    return np.ascontiguousarray(img[:, padding:padding + h, padding:padding + w])
+    if padding == 0:
+        return img
+    interior = img[:, padding:padding + h, padding:padding + w]
+    gx = _owned(store, "gx", x_shape, cols.dtype)
+    if gx is None:
+        return np.ascontiguousarray(interior)
+    np.copyto(gx, interior)
+    return gx
 
 
 def conv_output_size(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
@@ -194,7 +248,8 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
     which the next call on the thread overwrites; the result is the
     gemm's fresh output, so nothing returned aliases the scratch.
     """
-    return _conv2d([w, x], {"kernel": kernel, "stride": stride, "padding": padding}, True)[0]
+    aux = {"kernel": kernel, "stride": stride, "padding": padding}
+    return _conv2d([w, x], aux, _SCRATCH)[0]
 
 
 def gram_deviation(x: np.ndarray):
@@ -202,12 +257,12 @@ def gram_deviation(x: np.ndarray):
     return _gram_deviation([x], None)[0]
 
 
-def _gram_deviation(v, aux):
+def _gram_deviation(v, aux, store=None):
     """The gram_deviation forward and the residual ``D = XᵀX − I`` its backward reads."""
     x = v[0]
     # a contiguous copy of Xᵀ pins the gemm operands, and so the bits of XᵀX
     residual = np.ascontiguousarray(x.T) @ x - np.eye(x.shape[1], dtype=x.dtype)
-    return _f_frobenius([residual], None), {"residual": residual}
+    return _f_frobenius([residual], None, None), {"residual": residual}
 
 
 def hoyer(s: np.ndarray, eps: float):
@@ -221,41 +276,56 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-# --- per-op forward functions: pure in (input values, aux), dtype-agnostic ---
+# --- per-op forward functions: (input values, aux, store), dtype-agnostic ---
+# ``store`` is the node's aux on a tape, where an activation-sized result
+# goes into a buffer the node owns (see _owned), or None, which makes the
+# forward pure: a replay at another precision keeps nothing.
 
 
-def _f_add(v, aux):
+def _f_add(v, aux, store):
     return v[0] + v[1]
 
 
-def _f_scale(v, aux):
+def _f_scale(v, aux, store):
     return v[0] * v[0].dtype.type(aux["alpha"])
 
 
-def _f_transpose(v, aux):
-    return np.ascontiguousarray(np.transpose(v[0], aux["axes"]))
+def _transposed(a: np.ndarray, axes, store: dict | None, key: str) -> np.ndarray:
+    """``a`` permuted by ``axes`` as a C-contiguous array: :func:`_owned` ``key``, or fresh."""
+    view = a.transpose(axes)
+    out = _owned(store, key, view.shape, a.dtype)
+    if out is None:
+        return np.ascontiguousarray(view)
+    out[...] = view
+    return out
 
 
-def _f_relu(v, aux):
-    return np.maximum(v[0], 0)
+def _f_transpose(v, aux, store):
+    return _transposed(v[0], aux["axes"], store, "out")
 
 
-def _f_reshape(v, aux):
+def _f_relu(v, aux, store):
+    return np.maximum(v[0], 0, out=_owned(store, "out", v[0].shape, v[0].dtype))
+
+
+def _f_reshape(v, aux, store):
     out = v[0].reshape(aux["shape"])
     # ascontiguousarray would promote 0-d to 1-d, so only copy when needed
     return out if out.flags["C_CONTIGUOUS"] else np.ascontiguousarray(out)
 
 
-def _f_frobenius(v, aux):
+def _f_frobenius(v, aux, store):
     return np.sqrt((v[0] * v[0]).sum())
 
 
-def _f_linear(v, aux):
+def _f_linear(v, aux, store):
     x, w, b = v
-    return x @ w + b
+    out = np.matmul(x, w, out=_owned(store, "out", (x.shape[0], w.shape[1]), x.dtype))
+    out += b
+    return out
 
 
-def _f_softmax_ce(v, aux):
+def _f_softmax_ce(v, aux, store):
     logits = v[0]
     labels = aux["labels"]
     z = logits - logits.max(axis=1, keepdims=True)
@@ -263,27 +333,31 @@ def _f_softmax_ce(v, aux):
     return (lse - z[np.arange(logits.shape[0]), labels]).mean()
 
 
-def _conv2d(v, aux, scratch: bool = False):
+def _conv2d(v, aux, store=None):
     """The one conv forward formula: the output and the im2col columns it used.
 
     ``x`` and the output are batch-innermost, so the output is the gemm
-    result ``(c_out, Ho*Wo*N)`` reshaped, without a copy.  The tape keeps
-    the columns in the node's ``aux`` for its backward, so it unfolds into
-    fresh arrays; ``scratch`` is :func:`im2col`'s, for inference alone.
+    result ``(c_out, Ho*Wo*N)`` reshaped, without a copy.  ``store`` is
+    :func:`im2col`'s.  On a tape it is the node's ``aux``, which keeps the
+    columns for the backward and owns the gemm output; with ``_SCRATCH``
+    (inference) or None the gemm output is fresh.
     """
     w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     out_h, out_w = conv_output_size(x.shape[1], x.shape[2], kh, kw, stride, padding)
-    cols = im2col(x, kh, kw, stride, padding, scratch)
-    out = (w @ cols).reshape(w.shape[0], out_h, out_w, x.shape[3])
-    return out, {"cols": cols}
+    cols = im2col(x, kh, kw, stride, padding, store)
+    if store is None or store is _SCRATCH:
+        out = w @ cols  # fresh: inference returns it, so it never aliases the scratch
+    else:
+        out = np.matmul(w, cols, out=_owned(store, "out", (w.shape[0], cols.shape[1]), cols.dtype))
+    return out.reshape(w.shape[0], out_h, out_w, x.shape[3]), {"cols": cols}
 
 
-def _batch_major(m: np.ndarray, n_im: int) -> np.ndarray:
+def _batch_major(m: np.ndarray, n_im: int, store: dict | None, key: str) -> np.ndarray:
     """A contiguous copy of ``(rows, pixels*N)`` columns reordered to ``(image, pixel)``."""
     rows = m.shape[0]
-    return np.ascontiguousarray(m.reshape(rows, -1, n_im).transpose(0, 2, 1)).reshape(rows, -1)
+    return _transposed(m.reshape(rows, -1, n_im), (0, 2, 1), store, key).reshape(rows, -1)
 
 
 def _checked_labels(logits_shape: tuple[int, ...], labels) -> np.ndarray:
@@ -321,18 +395,24 @@ _FORWARD = {
     "relu": _f_relu,
     "reshape": _f_reshape,
     "frobenius_norm": _f_frobenius,
-    "factor_product": lambda v, aux: dense_weight(*v),
-    "hoyer": lambda v, aux: hoyer(v[0], HOYER_EPS),
+    "factor_product": lambda v, aux, store: dense_weight(*v),
+    "hoyer": lambda v, aux, store: hoyer(v[0], HOYER_EPS),
     "linear": _f_linear,
     "softmax_cross_entropy": _f_softmax_ce,
 }
 
 
 def _node_forward(op: str, inputs: list, aux: dict, save: bool):
-    """One node's forward value; with ``save``, what its backward reads goes into ``aux``."""
+    """One node's forward value.
+
+    With ``save`` (building or re-running a tape), ``aux`` is the op's
+    store: its buffers hold the value and what the backward reads.
+    Without it (a replay) the forward keeps nothing.
+    """
+    store = aux if save else None
     if op not in _SAVING:
-        return _FORWARD[op](inputs, aux)
-    value, saved = _SAVING[op](inputs, aux)
+        return _FORWARD[op](inputs, aux, store)
+    value, saved = _SAVING[op](inputs, aux, store)
     if save:
         aux.update(saved)
     return value
@@ -340,6 +420,8 @@ def _node_forward(op: str, inputs: list, aux: dict, save: bool):
 
 # --- per-op vector-Jacobian products: grad list, one entry per input ---
 # An entry may be None for an input that needs no gradient; backward skips it.
+# ``aux`` is the node's store: an activation-sized gradient goes into a
+# buffer the node owns, which the next backward pass overwrites.
 
 
 def _b_add(g, v, out, aux):
@@ -352,11 +434,13 @@ def _b_scale(g, v, out, aux):
 
 
 def _b_transpose(g, v, out, aux):
-    return [np.ascontiguousarray(np.transpose(g, np.argsort(aux["axes"])))]
+    return [_transposed(g, np.argsort(aux["axes"]), aux, "gx")]
 
 
 def _b_relu(g, v, out, aux):
-    return [g * (v[0] > 0)]
+    x = v[0]
+    mask = np.greater(x, 0, out=_owned(aux, "mask", x.shape, bool))
+    return [np.multiply(g, mask, out=_owned(aux, "gx", x.shape, g.dtype))]
 
 
 def _b_reshape(g, v, out, aux):
@@ -392,7 +476,9 @@ def _b_hoyer(g, v, out, aux):
 
 def _b_linear(g, v, out, aux):
     x, w, b = v
-    return [g @ w.T, x.T @ g, g.sum(axis=0)]
+    return [np.matmul(g, w.T, out=_owned(aux, "gx", x.shape, g.dtype)),
+            np.matmul(x.T, g, out=_owned(aux, "gw", w.shape, g.dtype)),
+            g.sum(axis=0, out=_owned(aux, "gb", b.shape, g.dtype))]
 
 
 def _b_softmax_ce(g, v, out, aux):
@@ -408,14 +494,17 @@ def _b_conv2d(g, v, out, aux):
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     g_mat = g.reshape(w.shape[0], -1)
+    cols = aux["cols"]
     # the weight gradient sums over columns; batch-major copies of both
     # operands fix that sum's order, and so its bits, to (image, out row, out col)
     n_im = x.shape[3]
-    gw = _batch_major(g_mat, n_im) @ _batch_major(aux["cols"], n_im).T
+    g_bm = _batch_major(g_mat, n_im, aux, "g_rows")
+    cols_bm = _batch_major(cols, n_im, aux, "col_rows")
+    gw = np.matmul(g_bm, cols_bm.T, out=_owned(aux, "gw", w.shape, g.dtype))
     if not aux["x_needs_grad"]:
         return [gw, None]
-    gx = col2im(w.T @ g_mat, x.shape, kh, kw, stride, padding)
-    return [gw, gx]
+    gx_cols = np.matmul(w.T, g_mat, out=_owned(aux, "gx_cols", cols.shape, g.dtype))
+    return [gw, col2im(gx_cols, x.shape, kh, kw, stride, padding, aux)]
 
 
 _BACKWARD = {
@@ -584,20 +673,13 @@ class Graph:
 
     def rerun(self) -> None:
         """Re-evaluate every op node in tape order from the current leaves and fed inputs."""
-        # the old op values are dropped first, as a fresh build would find them gone
-        values = [node.value if node.op == "leaf" else None for node in self.nodes]
-        for node in self.nodes:
-            node.value = None
-        self._forward(range(len(values)), values, save=True)
-        for node, value in zip(self.nodes, values):
-            node.value = value
-
-    def _forward(self, order, values, save: bool) -> None:
-        """Fill ``values[nid]`` for the op nodes of ``order``; leaves are already in it."""
-        for nid in order:
-            node = self.nodes[nid]
+        # each op writes over its last value in the buffers its node owns, and
+        # reads inputs that tape order has already brought up to date
+        nodes = self.nodes
+        for node in nodes:
             if node.op != "leaf":
-                values[nid] = _node_forward(node.op, [values[i] for i in node.inputs], node.aux, save)
+                node.value = _node_forward(node.op, [nodes[i].value for i in node.inputs],
+                                           node.aux, save=True)
 
     # -- differentiation ----------------------------------------------------
 
@@ -612,30 +694,33 @@ class Graph:
         """Gradients of the scalar ``loss`` node for all reachable trainable leaves.
 
         Only nodes that need a gradient enter ``grads``, and every entry is
-        an ancestor of ``loss``, so a node absent from it is skipped.
+        an ancestor of ``loss``, so a node absent from it is skipped.  A
+        returned gradient may be a buffer its node owns: it holds this
+        pass's values until the next :meth:`rerun` or ``backward``.
         """
-        loss_node = self.nodes[loss]
+        nodes = self.nodes
+        loss_node = nodes[loss]
         if loss_node.value.ndim != 0:
             raise ValueError("backward requires a scalar loss node")
         grads: dict[int, np.ndarray] = {}
         if loss_node.needs_grad:
             grads[loss] = np.ones((), dtype=loss_node.value.dtype)
         for nid in range(loss, -1, -1):
-            if nid not in grads:
+            grad = grads.get(nid)
+            if grad is None:
                 continue
-            node = self.nodes[nid]
+            node = nodes[nid]
             if node.op == "leaf":
                 continue
-            values = [self.nodes[i].value for i in node.inputs]
-            contribs = _BACKWARD[node.op](grads[nid], values, node.value, node.aux)
+            values = [nodes[i].value for i in node.inputs]
+            contribs = _BACKWARD[node.op](grad, values, node.value, node.aux)
             for inp, contrib in zip(node.inputs, contribs):
-                if not self.nodes[inp].needs_grad:
-                    continue
-                if inp in grads:
-                    grads[inp] = grads[inp] + contrib
-                else:
-                    grads[inp] = contrib
-        return {nid: grad for nid, grad in grads.items() if self.nodes[nid].op == "leaf"}
+                if nodes[inp].needs_grad:
+                    # summed into a fresh array: a contribution may be another node's
+                    # buffer, and add hands one gradient to both of its inputs
+                    prev = grads.get(inp)
+                    grads[inp] = contrib if prev is None else prev + contrib
+        return {nid: grad for nid, grad in grads.items() if nodes[nid].op == "leaf"}
 
     def replay(
         self,
@@ -644,12 +729,16 @@ class Graph:
         dtype=np.float64,
         order: list[int] | None = None,
     ) -> np.ndarray:
-        """Recompute ``target``'s value with substituted leaves at ``dtype``."""
+        """Recompute ``target``'s value with substituted leaves at ``dtype``, writing no buffer."""
         order = order if order is not None else self._ancestors(target)
         overrides = overrides or {}
         vals = {nid: np.asarray(overrides.get(nid, self.nodes[nid].value), dtype=dtype)
                 for nid in order if self.nodes[nid].op == "leaf"}
-        self._forward(order, vals, save=False)
+        for nid in order:
+            node = self.nodes[nid]
+            if node.op != "leaf":
+                vals[nid] = _node_forward(node.op, [vals[i] for i in node.inputs], node.aux,
+                                          save=False)
         return vals[target]
 
 

@@ -30,25 +30,63 @@ TRAIN_FRACTION = 0.8
 BLOB_NOISE = 0.15
 
 
+# A member of an npz archive may declare at most MAX_INFLATION times the
+# bytes it stores, unless it declares at most INFLATION_FLOOR bytes.
+# Deflate packs zeros about 1000:1, so without this a small archive could
+# make a reader allocate gigabytes.  Real samples seldom deflate past 10:1;
+# sorted int64 labels reach about 650:1, so the floor lets a million of
+# them through.
+MAX_INFLATION = 100
+INFLATION_FLOOR = 8 << 20
+
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _check_declared_size(member, info: zipfile.ZipInfo, path, name: str) -> None:
+    """Read ``member``'s ``.npy`` header and refuse a size out of proportion to its stored bytes."""
+    reader = _HEADER_READERS.get(np.lib.format.read_magic(member))
+    if reader is None:
+        raise ValueError(f"{name}: unsupported .npy format version")
+    shape, _, dtype = reader(member)
+    declared = math.prod(shape) * dtype.itemsize
+    if declared > max(MAX_INFLATION * info.compress_size, INFLATION_FLOOR):
+        raise FormatError(f"{path}: array {name} would inflate {info.compress_size} stored "
+                          f"bytes to {declared}, over {MAX_INFLATION} times as many")
+
+
 def read_npz(path, names) -> dict[str, np.ndarray]:
     """Those of the arrays ``names`` that an npz archive holds, read now, without pickles.
 
-    A missing file raises FileNotFoundError; any other file that is not a
-    readable npz archive, a bare ``.npy`` array or a damaged member
-    included, is a FormatError naming ``path``.
+    Each member's ``.npy`` header is read before its data: a member that
+    declares more than :data:`MAX_INFLATION` times the bytes it stores
+    (and more than :data:`INFLATION_FLOOR`) is a FormatError naming
+    ``path``, raised before anything of that size is allocated.  An
+    uncompressed archive (``np.savez``) stores every byte it declares, so
+    only a compressed member can be refused.  A missing file raises
+    FileNotFoundError; any other file that is not a readable npz archive,
+    a bare ``.npy`` array or a damaged member included, is a FormatError
+    naming ``path``.
     """
+    arrays = {}
     try:
-        blob = np.load(path, allow_pickle=False)
-        if isinstance(blob, np.lib.npyio.NpzFile):
-            with blob:
-                return {name: blob[name] for name in names if name in blob}
-    except FileNotFoundError:
+        with zipfile.ZipFile(path) as archive:
+            for name in names:
+                try:
+                    info = archive.getinfo(f"{name}.npy")
+                except KeyError:
+                    continue
+                with archive.open(info) as member:
+                    _check_declared_size(member, info, path, name)
+                    member.seek(0)
+                    arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+    except (FileNotFoundError, FormatError):
         raise
     # a damaged member fails its CRC, or inflating it, or parsing its header
     except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error,
             tokenize.TokenError) as exc:
         raise FormatError(f"not a readable npz archive: {path}") from exc
-    raise FormatError(f"not a readable npz archive: {path}")  # a bare .npy array
+    return arrays
 
 
 @dataclass
@@ -169,7 +207,11 @@ def _blob_task(spec: TaskStreamSpec, t: int) -> TaskDataset:
     y = np.empty(k * n, dtype=np.int64)
     for cls in range(k):
         block = slice(cls * n, (cls + 1) * n)
-        x[block] = (centers[cls] + noise * rng.normal(size=(n, dim))).astype(np.float32)
+        # noise * z + center, computed in place in float64, then rounded into x
+        z = rng.normal(size=(n, dim))
+        z *= noise
+        z += centers[cls]
+        x[block] = z
         y[block] = cls
     return _split(x.reshape(-1, c, h, w), y, rng, classes=k)
 

@@ -19,6 +19,7 @@ predecessors serve, and it is the forward of the tape's
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,18 +331,28 @@ def graph_forward(
     return g.reshape(g.transpose(h, (3, 0, 1, 2)), (batch, spec.head_input_dim))
 
 
-def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
-    """Inference-mode conv stack on plain arrays.
+# Inference unfolds at most this many bytes of im2col columns at a time.
+CHUNK_BYTES = 1 << 20
 
-    Takes batch-major ``(N, C, H, W)`` input and returns C-contiguous
-    ``(N, head_input_dim)`` features; the conv stack runs batch-innermost
-    ``(C, H, W, N)`` in between.  An input whose channels or image size
-    are not the spec's is a :class:`ShapeError`: a strided stack could
-    otherwise map a smaller image to the head's width.
+
+@functools.lru_cache(maxsize=64)
+def _chunk_images(spec: NetworkSpec) -> int:
+    """Images per :func:`forward_features` chunk, at least one, computed once per geometry.
+
+    As many as keep every layer's im2col columns and gather source (its
+    input pixels and the zero row) within :data:`CHUNK_BYTES`.
     """
-    got, expected = np.shape(x), (spec.layers[0].n, *spec.input_hw)
-    if len(got) != 4 or got[1:] != expected:
-        raise ShapeError(f"input must be (N, {', '.join(map(str, expected))}), got {got}")
+    h, w = spec.input_hw
+    per_image = 0  # float32 values per image of the widest unfold buffer
+    for shape, stride, pad in zip(spec.layers, spec.strides, spec.paddings):
+        out_h, out_w = ad.conv_output_size(h, w, shape.h, shape.w, stride, pad)
+        per_image = max(per_image, shape.q * out_h * out_w, shape.n * h * w + 1)
+        h, w = out_h, out_w
+    return max(1, CHUNK_BYTES // (per_image * np.dtype(DTYPE).itemsize))
+
+
+def _conv_stack(weights, spec: NetworkSpec, x) -> np.ndarray:
+    """The conv stack with its ReLUs on batch-major ``x``: batch-innermost ``(C, H, W, N)``."""
     h = np.ascontiguousarray(np.transpose(x, (1, 2, 3, 0)), dtype=DTYPE)
     for l, shape in enumerate(spec.layers):
         h = ad.conv2d_forward(
@@ -349,9 +360,37 @@ def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
             stride=spec.strides[l], padding=spec.paddings[l],
         )
         np.maximum(h, 0, out=h)  # h is this layer's fresh conv output
+    return h
+
+
+def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    """Inference-mode conv stack on plain arrays.
+
+    Takes batch-major ``(N, C, H, W)`` input and returns C-contiguous
+    ``(N, head_input_dim)`` features; the conv stack runs batch-innermost
+    ``(C, H, W, N)`` in between, over chunks of :func:`_chunk_images`
+    images, so its unfold scratch stays within :data:`CHUNK_BYTES`
+    whatever N is.  A batch of one chunk is copied to C order on exit; a
+    larger one copies each chunk's features into its rows of one array.
+    An input whose channels or image size are not the spec's is a
+    :class:`ShapeError`: a strided stack could otherwise map a smaller
+    image to the head's width.
+    """
+    got, expected = np.shape(x), (spec.layers[0].n, *spec.input_hw)
+    if len(got) != 4 or got[1:] != expected:
+        raise ShapeError(f"input must be (N, {', '.join(map(str, expected))}), got {got}")
+    n = got[0]
     # the flatten of the transpose is a strided view: the head gemm takes
-    # another BLAS path on it, so the features are copied to C order first
-    return np.ascontiguousarray(h.transpose(3, 0, 1, 2).reshape(h.shape[3], spec.head_input_dim))
+    # another BLAS path on it, so the features are copied to C order
+    if n <= 1 or n <= (chunk := _chunk_images(spec)):  # one image is always one chunk
+        h = _conv_stack(weights, spec, x)
+        return np.ascontiguousarray(h.transpose(3, 0, 1, 2).reshape(n, spec.head_input_dim))
+    feats = np.empty((n, spec.head_input_dim), dtype=DTYPE)
+    for start in range(0, n, chunk):
+        h = _conv_stack(weights, spec, x[start:start + chunk])
+        c, out_h, out_w, m = h.shape
+        feats[start:start + m].reshape(m, c, out_h, out_w)[...] = h.transpose(3, 0, 1, 2)
+    return feats
 
 
 def run_network(weights, head: TaskHead, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:

@@ -148,8 +148,11 @@ def _complete_columns(u: np.ndarray, dead: np.ndarray) -> np.ndarray:
 def svd(m: np.ndarray) -> SvdFactors:
     """Full-rank reduced SVD with ``r = min(rows, cols)``.
 
-    Sign convention: the largest-magnitude entry of every ``u`` column is
-    non-negative.  Equal singular values keep their pre-sort column order.
+    Sign convention, on the factor of the longer side: for a tall or
+    square input the largest-magnitude entry of every ``u`` column is
+    non-negative, and for a wide input (``rows < cols``, decomposed as
+    its transpose) that of every ``v`` column.  Equal singular values
+    keep their pre-sort column order.
     """
     m = as_matrix(m)
     if not np.isfinite(m).all():

@@ -18,10 +18,12 @@ reverse-tape order as a pass over that group's own loss would.
 A step's tape has one shape for every batch of a size, so a task builds
 it once per batch size and re-runs it for later steps, feeding in the
 batch and its labels; the result is bitwise that of a fresh tape per
-step.  Adam keeps the parameters, moments and gradient in flat buffers,
-so its update is one vectorized formula over all of them.  Each
-trainable leaf holds its parameter's view into Adam's buffer, so a step
-is never fed its parameters: the tape reads what Adam last wrote.
+step, and the re-run writes its activations and their gradients into
+buffers the tape allocated on its first step.  Adam keeps the
+parameters, moments and gradient in flat buffers, so its update is one
+vectorized formula over all of them.  Each trainable leaf holds its
+parameter's view into Adam's buffer, so a step is never fed its
+parameters: the tape reads what Adam last wrote.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def test_im2col_col2im_match_per_pixel_loops(hw, stride, padding, kernel):
         want = _im2col_loop(x, kh, kw, stride, padding).tobytes()
         cols = ad.im2col(x, kh, kw, stride, padding)
         assert cols.tobytes() == want
-        assert ad.im2col(x, kh, kw, stride, padding, scratch=True).tobytes() == want
+        assert ad.im2col(x, kh, kw, stride, padding, ad._SCRATCH).tobytes() == want
         g = rng_array(cols.shape, seed=41)
         img = ad.col2im(g, x_shape, kh, kw, stride, padding)
         assert img.shape == x_shape and img.flags["C_CONTIGUOUS"]
@@ -208,12 +208,49 @@ def test_same_geometry_reuses_the_column_memory(monkeypatch):
     for seed in (54, 55):
         ad.conv2d_forward(weight, rng_array((3, 6, 6, 8), seed=seed), (3, 3, 3), 1, 1)
     assert np.shares_memory(unfolded[0], unfolded[1])
-    # the tape keeps each conv node's columns for its backward: fresh, never scratch
+    # the tape keeps each conv node's columns for its backward: its own, never scratch
     g = ad.Graph()
     x = g.leaf(rng_array((3, 6, 6, 8), seed=56))
     node = g.nodes[g.conv2d(g.leaf(weight), x, kernel=(3, 3, 3), stride=1, padding=1)]
     assert node.aux["cols"] is unfolded[2]
     assert not np.shares_memory(unfolded[2], unfolded[1])
+
+
+def _float64_logits(weights, head, spec, x, images=128):
+    """The logits of ``x`` by the conv formula in float64, ``images`` at a time."""
+    out = []
+    for start in range(0, len(x), images):
+        h = np.transpose(x[start:start + images], (1, 2, 3, 0)).astype(np.float64)
+        for l, shape in enumerate(spec.layers):
+            aux = {"kernel": (shape.n, shape.h, shape.w), "stride": spec.strides[l],
+                   "padding": spec.paddings[l]}
+            h = np.maximum(ad._conv2d([weights[l].astype(np.float64), h], aux)[0], 0)
+        feats = h.transpose(3, 0, 1, 2).reshape(h.shape[3], -1)
+        out.append(feats @ head.weight.astype(np.float64) + head.bias)
+    return np.concatenate(out)
+
+
+def test_inference_unfolds_a_large_batch_in_chunks_within_the_budget(monkeypatch):
+    monkeypatch.setattr(ad, "_SCRATCH", threading.local())  # this thread has no scratch yet
+    # the wide-dense benchmark geometry: 3x16x16 inputs, 16 channels, strides 1 and 2
+    spec = fz.NetworkSpec.build((16, 16), in_channels=3, input_hw=(16, 16), stride=(1, 2))
+    chunk = fz._chunk_images(spec)
+    assert chunk == 28  # the second layer unfolds 144 x 64 floats per image
+    rng = np.random.default_rng(61)
+    weights = [(rng.normal(size=(s.c, s.q)) / np.sqrt(s.q)).astype(np.float32) for s in spec.layers]
+    head = fz.TaskHead(weight=(rng.normal(size=(spec.head_input_dim, 3)) * 0.05).astype(np.float32),
+                       bias=rng.normal(size=3).astype(np.float32))
+    x = rng.normal(size=(1024, 3, 16, 16)).astype(np.float32)
+    logits = fz.run_network(weights, head, spec, x)
+    for slot in ("padded", "cols"):
+        assert getattr(ad._SCRATCH, slot).nbytes <= fz.CHUNK_BYTES, slot
+    want = _float64_logits(weights, head, spec, x)
+    assert np.abs(logits - want).max() <= 1e-5 * np.abs(want).max()
+    # a batch of exactly k chunks gives, bit for bit, its chunks' features one by one
+    k = 3
+    whole = fz.forward_features(weights, spec, x[:k * chunk])
+    parts = [fz.forward_features(weights, spec, x[i * chunk:(i + 1) * chunk]) for i in range(k)]
+    assert whole.flags["C_CONTIGUOUS"] and whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_threads_serving_mixed_batches_get_single_thread_bits():
@@ -483,6 +520,67 @@ def test_rerun_after_feeding_matches_a_fresh_build_bitwise():
         assert grad.tobytes() == fresh_grads[nid].tobytes(), g.nodes[nid].name
 
 
+def _dense_step_graph(seed):
+    """A two-layer strided conv net, head and loss on a batch of 6: every op that owns buffers.
+
+    Returns ``(g, x leaf, loss)``; the conv weights and head are trainable.
+    """
+    spec = fz.NetworkSpec.build((4, 5), in_channels=3, input_hw=(7, 7), stride=(1, 2))
+    g = ad.Graph()
+    weights = [g.leaf(rng_array((s.c, s.q), seed=70 + l, scale=0.3), trainable=True, name=f"w{l}")
+               for l, s in enumerate(spec.layers)]
+    x = g.leaf(rng_array((6, 3, 7, 7), seed=seed))
+    feats = fz.graph_forward(g, weights, spec, x)
+    hw = g.leaf(rng_array((spec.head_input_dim, 3), seed=72, scale=0.1), trainable=True, name="hw")
+    hb = g.leaf(np.zeros(3, np.float32), trainable=True, name="hb")
+    labels = np.random.default_rng(seed).integers(0, 3, size=6)
+    return g, x, g.softmax_cross_entropy(g.linear(feats, hw, hb), labels)
+
+
+def _step_buffers(g):
+    """Every array that the tape's activation-sized ops hold: values and ``aux`` entries."""
+    held = {}
+    for nid, node in enumerate(g.nodes):
+        if node.op in ("conv2d", "relu", "transpose", "reshape", "linear"):
+            held[nid, "value"] = node.value
+            held.update(((nid, k), a) for k, a in node.aux.items() if isinstance(a, np.ndarray))
+    return held
+
+
+def test_a_rerun_tape_writes_its_step_buffers_in_place():
+    g, x, loss = _dense_step_graph(seed=73)
+    grads = g.backward(loss)
+    buffers = _step_buffers(g)
+    ops = {g.nodes[nid].op for nid, _ in buffers}
+    assert ops == {"conv2d", "relu", "transpose", "reshape", "linear"}
+    conv = next(n for n in g.nodes if n.op == "conv2d" and n.aux["x_needs_grad"])
+    owned = {"padded", "cols", "out", "g_rows", "col_rows", "gw", "gx_cols", "img", "gx"}
+    assert owned <= conv.aux.keys()
+    addresses = {key: a.ctypes.data for key, a in buffers.items()}
+    grad_addresses = {nid: d.ctypes.data for nid, d in grads.items()}
+    assert len(grad_addresses) == 4
+    for seed in (74, 75):
+        fresh, fresh_x, fresh_loss = _dense_step_graph(seed)
+        g.feed(x, fresh.value(fresh_x))
+        g.feed(loss, fresh.nodes[fresh_loss].aux["labels"])
+        g.rerun()
+        grads = g.backward(loss)
+        assert _step_buffers(g).keys() == buffers.keys()
+        assert {key: a.ctypes.data for key, a in _step_buffers(g).items()} == addresses
+        assert {nid: d.ctypes.data for nid, d in grads.items()} == grad_addresses
+        # written in place, the buffers hold what a fresh tape computes
+        for nid, (a, b) in enumerate(zip(g.nodes, fresh.nodes)):
+            assert np.asarray(a.value).tobytes() == np.asarray(b.value).tobytes(), (nid, a.op)
+        fresh_grads = fresh.backward(fresh_loss)
+        for nid, d in grads.items():
+            assert d.tobytes() == fresh_grads[nid].tobytes(), g.nodes[nid].name
+    # grad_check's float64 replays allocate their own arrays and leave the tape's as they were
+    kept = {key: a.copy() for key, a in _step_buffers(g).items()}
+    assert ad.grad_check(g, loss, step=1e-4, max_entries=3).passed  # 1e-3 crosses a relu kink
+    for key, a in _step_buffers(g).items():
+        assert a.ctypes.data == addresses[key] and a.tobytes() == kept[key].tobytes(), key
+
+
 def test_feed_checks_what_building_checked():
     g, x, ce, loss = _step_graph(rng_array((4, 2, 4, 4), seed=54), np.array([0, 1, 2, 0]))
     with pytest.raises(ShapeError):
@@ -503,7 +601,7 @@ def test_gram_deviation_backward_reads_the_forward_residual(monkeypatch):
     calls = []
     forward = ad._SAVING["gram_deviation"]
     monkeypatch.setitem(ad._SAVING, "gram_deviation",
-                        lambda v, aux: calls.append(1) or forward(v, aux))
+                        lambda v, aux, store: calls.append(1) or forward(v, aux, store))
     g = ad.Graph()
     x = g.leaf(rng_array((5, 3), seed=56), trainable=True)
     dev = g.gram_deviation(x)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from factorcl import checkpoint as ck
 from factorcl import compression as cp
 from factorcl import factorized as fz
-from factorcl.datasets import TaskStreamSpec, generate_stream
+from factorcl.datasets import TaskStreamSpec, generate_stream, read_npz
 from factorcl.errors import FormatError
 from factorcl.trainer import DenseTaskModels
 
@@ -435,3 +435,35 @@ def test_a_file_that_is_not_an_npz_archive_is_a_format_error(tmp_path, name, con
         path.write_bytes(content)
     with pytest.raises(FormatError, match="not a readable npz archive"):
         ck.load_dataset(path)
+
+
+def _save_inflating_dataset(path) -> None:
+    """A dataset archive of about 15 KB whose 50,000 zero samples inflate to 14.8 MB."""
+    np.savez_compressed(
+        path, train_x=np.zeros((50000, 2, 6, 6), np.float32), train_y=np.zeros(50000, np.int64),
+        test_x=np.zeros((10, 2, 6, 6), np.float32), test_y=np.zeros(10, np.int64),
+        classes=np.array(2),
+    )
+
+
+def test_a_member_that_inflates_out_of_proportion_is_refused_unread(tmp_path, monkeypatch):
+    path = tmp_path / "inflating.npz"
+    _save_inflating_dataset(path)
+    assert path.stat().st_size < 16_000
+    read = []
+    real_read = np.lib.format.read_array
+    monkeypatch.setattr(np.lib.format, "read_array",
+                        lambda f, **kw: read.append(f.name) or real_read(f, **kw))
+    with pytest.raises(FormatError, match="train_x") as err:
+        ck.load_dataset(path)
+    assert str(path) in str(err.value)
+    assert "train_x.npy" not in read  # refused from its header, before its data
+
+
+def test_archives_that_store_what_they_declare_are_read(tmp_path):
+    zeros = np.zeros((3, 1 << 20), np.float32)  # 12 MiB, deflates about 1000:1
+    small = np.zeros(1 << 20, np.float32)  # 4 MiB: under the floor, so never refused
+    np.savez(tmp_path / "stored.npz", x=zeros)
+    np.savez_compressed(tmp_path / "small.npz", x=small)
+    assert read_npz(tmp_path / "stored.npz", ["x"])["x"].tobytes() == zeros.tobytes()
+    assert read_npz(tmp_path / "small.npz", ["x", "y"])["x"].tobytes() == small.tobytes()

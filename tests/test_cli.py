@@ -1,10 +1,13 @@
 import json
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from factorcl import autodiff as ad
 from factorcl import checkpoint as ck
+from factorcl import factorized as fz
 from factorcl.cli import load_config, main
 from factorcl.datasets import TaskDataset
 from factorcl.errors import ConfigError
@@ -213,6 +216,27 @@ def test_eval_matches_final_row_exactly(train_run, capsys):
         assert printed == report.acc_matrix[2, t - 1]
 
 
+def test_eval_scores_a_dataset_of_several_chunks_within_the_budget(train_run, tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(ad, "_SCRATCH", threading.local())  # this thread has no scratch yet
+    report = MetricsReport.from_json((train_run / "metrics.json").read_text())
+    data = ck.load_dataset(train_run / "task1_data.npz")
+    chunk = fz._chunk_images(ck.load_space(train_run / "space.cacl").spec)
+    copies = 2 * chunk // len(data.test_y) + 1  # the test split, repeated over two chunks
+    ck.save_dataset(tmp_path / "many.npz", TaskDataset(
+        train_x=data.train_x, train_y=data.train_y, test_x=np.concatenate([data.test_x] * copies),
+        test_y=np.tile(data.test_y, copies), classes=data.classes,
+    ))
+    code = main([
+        "eval", "--model", str(train_run / "space.cacl"),
+        "--task", "1", "--data", str(tmp_path / "many.npz"),
+    ])
+    assert code == 0
+    assert float(capsys.readouterr().out.split()[-1]) == report.acc_matrix[2, 0]
+    for slot in ("padded", "cols"):
+        assert getattr(ad._SCRATCH, slot).nbytes <= fz.CHUNK_BYTES, slot
+
+
 def test_eval_rejects_out_of_range_task(train_run, capsys):
     code = main([
         "eval", "--model", str(train_run / "space.cacl"),
@@ -282,6 +306,21 @@ def test_eval_reports_a_damaged_dataset_member_as_one_error_line(train_run, tmp_
     ])
     assert code == 1
     assert only_error_line(capsys) == f"error: not a readable npz archive: {data}"
+
+
+def test_eval_refuses_a_dataset_that_inflates_out_of_proportion(train_run, tmp_path, capsys):
+    data = tmp_path / "inflating.npz"  # about 15 KB, inflating to 14.8 MB
+    np.savez_compressed(
+        data, train_x=np.zeros((50000, 2, 6, 6), np.float32), train_y=np.zeros(50000, np.int64),
+        test_x=np.zeros((10, 2, 6, 6), np.float32), test_y=np.zeros(10, np.int64),
+        classes=np.array(2),
+    )
+    code = main([
+        "eval", "--model", str(train_run / "space.cacl"), "--task", "1", "--data", str(data),
+    ])
+    assert code == 1
+    line = only_error_line(capsys)
+    assert str(data) in line and "train_x" in line
 
 
 def test_eval_reads_dense_models(dense_run, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcl.datasets import BLOB_NOISE, TaskDataset, TaskStreamSpec, generate_stream
-from factorcl.errors import ConfigError, DataError
+from factorcl.errors import ConfigError, DataError, FormatError
 
 
 def blob_spec(**kw):
@@ -233,3 +233,13 @@ def test_split_file_missing_arrays(tmp_path):
     np.savez(path, z=np.zeros(3))
     with pytest.raises(DataError):
         generate_stream(file_spec(str(path)))
+
+
+def test_split_file_refuses_a_member_that_inflates_out_of_proportion(tmp_path):
+    path = tmp_path / "inflating.npz"
+    np.savez_compressed(path, x=np.zeros((500000, 2, 2, 2), np.float32),
+                        y=np.repeat(np.arange(4), 30))
+    assert path.stat().st_size < 20_000
+    with pytest.raises(FormatError, match="array x would inflate") as err:
+        generate_stream(file_spec(str(path)))
+    assert str(path) in str(err.value)

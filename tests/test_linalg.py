@@ -20,6 +20,24 @@ def reconstruction_error(m, f):
     return np.abs(recon - m.astype(np.float64)).max()
 
 
+def _largest_entries_non_negative(factor: np.ndarray) -> bool:
+    """Whether the largest-magnitude entry of every column of ``factor`` is >= 0."""
+    return bool(np.all(factor[np.abs(factor).argmax(axis=0), np.arange(factor.shape[1])] >= 0))
+
+
+@pytest.mark.parametrize("shape, signed", [((18, 8), "u"), ((8, 8), "u"), ((8, 18), "v")],
+                         ids=["tall", "square", "wide"])
+def test_svd_sign_convention_is_on_the_factor_of_the_longer_side(shape, signed):
+    other = {"u": "v", "v": "u"}[signed]
+    unsigned = 0
+    for seed in range(40):
+        f = la.svd(random_matrix(*shape, seed=seed))
+        assert _largest_entries_non_negative(getattr(f, signed)), seed
+        unsigned += not _largest_entries_non_negative(getattr(f, other))
+    if shape[0] != shape[1]:  # the other factor's signs follow, so they are not pinned
+        assert unsigned > 0
+
+
 def test_svd_diagonal():
     f = la.svd(np.diag([3.0, 2.0]).astype(np.float32))
     np.testing.assert_allclose(f.sigma, [3.0, 2.0], atol=1e-6)
