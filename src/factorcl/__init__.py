@@ -40,7 +40,7 @@ from .factorized import (
     size_bytes,
 )
 from .metrics import MetricsReport, compute_metrics
-from .regularizers import LossWeights, l_orth, l_sparse
+from .regularizers import l_orth, l_sparse
 from .trainer import MODES, DenseTaskModels, TrainConfig, run_continual, train_task
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "DenseTaskModels",
     "FormatError",
     "LayerShape",
-    "LossWeights",
     "MetricsReport",
     "MODES",
     "NetworkSpec",

@@ -19,23 +19,26 @@ A tape whose shape does not change is built once and re-run.
 loss node's labels) after the same checks building the node made, and
 :meth:`Graph.rerun` re-evaluates every op node in tape order with the
 same forward formulas, so a re-run tape holds the values and gradients
-a fresh build would, bit for bit.  Each
-op has one forward: a forward that computes an intermediate its backward
-needs returns it too, and building or re-running saves it in the node's
-``aux``: ``conv2d`` its im2col columns, ``gram_deviation`` its residual
-``XᵀX − I``.  Building, re-running and replaying share one per-node
-evaluation.
+a fresh build would, bit for bit.
 
-A tape owns its step buffers.  Every activation-sized value, saved
-column block and backward temporary of ``conv2d`` (gather source,
-columns, gemm output, batch-major copies, input-gradient columns and
-``col2im`` image), ``relu``, ``transpose`` and ``linear`` is written with
-``out=`` into an array its node keeps in ``aux``: building allocates
-them, and each re-run and backward pass writes over them in place, so
-after a tape's first step a step allocates none of them.  A gradient
-that ``backward`` returns may be such a buffer, valid until the next
-re-run or backward pass.  A replay passes no store, so it allocates
-fresh arrays and leaves the tape's buffers as they were.
+Each op has one forward, ``(input values, aux, store) -> value`` in
+``_FORWARD``, which building, re-running and replaying all call.  An
+intermediate that the backward reads is written into ``store`` like any
+other buffer: ``conv2d``'s im2col columns into ``store["cols"]``,
+``gram_deviation``'s residual ``XᵀX − I`` into ``store["residual"]``.
+
+One policy places every buffer an op writes with ``out=``:
+``_buffer(store, key, shape, dtype)``.  On a tape, ``store`` is the
+node's ``aux``.  Every activation-sized value, saved intermediate and
+backward temporary of ``conv2d`` (gather source, columns, gemm output,
+batch-major copies, input-gradient columns and ``col2im`` image),
+``relu``, ``transpose``, ``linear`` and ``gram_deviation`` goes there:
+building allocates them, and since a tape's shapes are fixed, each
+re-run and backward pass writes over them in place, so after a tape's
+first step a step allocates none of them.  A gradient that ``backward``
+returns may be such a buffer, valid until the next re-run or backward
+pass.  A replay passes no store, so it allocates fresh arrays and
+leaves the tape's buffers as they were.
 
 Convolutions keep activations batch-innermost, ``(C, H, W, N)``:
 channel, then pixel, then image.  ``im2col`` and ``col2im``,
@@ -65,10 +68,11 @@ graph in float64.
 
 A graph is owned by one thread while it is being built, re-run and
 differentiated; independent graphs never share state.  Inference
-(:func:`conv2d_forward`) unfolds into scratch that is per thread: each
-thread holds at most the largest gather source (input rows and zero
-row) and the largest im2col matrix it has served, reused as views by
-its later calls, so threads serving concurrently never share a buffer
+(:func:`conv2d_forward`) unfolds into the same kind of store, one per
+thread (``vars(_SCRATCH)``).  An entry there is replaced only by a larger
+request and a smaller one views it, so each thread holds at most the
+largest gather source (input rows and zero row) and the largest im2col
+matrix it has served, threads serving concurrently never share a buffer,
 and a steady serving thread allocates no column memory.
 ``factorized.forward_features`` feeds the conv stack chunks of images
 sized so that one chunk's columns fit ``factorized.CHUNK_BYTES``, so
@@ -95,52 +99,30 @@ DTYPE = np.float32
 HOYER_EPS = 1e-12
 
 
-# This thread's inference scratch: one grow-only byte buffer per slot.
+# This thread's inference scratch; vars(_SCRATCH) is its _buffer store.
 _SCRATCH = threading.local()
 
 
-def _scratch(slot: str, shape: tuple[int, ...], like: np.ndarray) -> np.ndarray:
-    """This thread's ``slot`` buffer viewed as an uninitialised array of ``shape``.
+def _buffer(store: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array of ``shape`` for an op to write with ``out=``: ``store[key]``.
 
-    The buffer is replaced by a larger one only when a call needs more
-    bytes than it holds, so a thread keeps at most the largest array it
-    has asked ``slot`` for, and each call overwrites what the last left.
-    """
-    nbytes = math.prod(shape) * like.itemsize
-    buf = getattr(_SCRATCH, slot, None)
-    if buf is None or buf.size < nbytes:
-        buf = np.empty(nbytes, dtype=np.uint8)
-        setattr(_SCRATCH, slot, buf)
-    return np.ndarray(shape, like.dtype, buf)
-
-
-def _owned(store: dict | None, key: str, shape: tuple[int, ...], dtype):
-    """The tape node's buffer ``store[key]`` for an op to write with ``out=``, or None.
-
-    ``store`` is the node's ``aux``.  A node's shapes are fixed once it is
-    built, so its first evaluation allocates the buffer and every re-run
-    and backward pass writes into the same memory.  Without a store (a
-    replay, or a call outside a tape) this returns None, and the op's
-    ``out=None`` gives a fresh array.
+    ``store`` is a tape node's ``aux`` or this thread's ``vars(_SCRATCH)``.
+    The entry is replaced only when a request needs more bytes than it
+    holds; a smaller request views its leading bytes.  A tape's shapes are
+    fixed once it is built, so after its first step each request finds its
+    entry as it is; inference mixes batch sizes, so a thread keeps at most
+    the largest array it has asked ``key`` for.  Without a store (a replay)
+    the array is fresh.
     """
     if store is None:
-        return None
+        return np.empty(shape, dtype)
     buf = store.get(key)
-    if buf is None or buf.shape != shape:
+    if buf is not None and buf.shape == shape and buf.dtype == dtype:
+        return buf
+    if buf is None or buf.nbytes < math.prod(shape) * np.dtype(dtype).itemsize:
         buf = store[key] = np.empty(shape, dtype)
-    return buf
-
-
-def _buffer(store, key: str, shape: tuple[int, ...], like: np.ndarray) -> np.ndarray:
-    """An uninitialised array: ``store``'s buffer ``key``, or a fresh one without a store.
-
-    ``store`` is a tape node's ``aux`` (see :func:`_owned`), this
-    thread's ``_SCRATCH`` (see :func:`_scratch`) or None.
-    """
-    if store is _SCRATCH:
-        return _scratch(key, shape, like)
-    buf = _owned(store, key, shape, like.dtype)
-    return np.empty(shape, like.dtype) if buf is None else buf
+        return buf
+    return np.ndarray(shape, dtype, buf)
 
 
 # bounded: a table holds C*kh*kw*Ho*Wo indices, and a network has a few geometries
@@ -178,15 +160,16 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     kw, out row, out col)`` row of N values into the columns.
 
     The source rows and the columns are :func:`_buffer` ``"padded"`` and
-    ``"cols"`` of ``store``: fresh without one, the conv node's own on a
-    tape, and with ``_SCRATCH`` (which only :func:`conv2d_forward` passes)
-    views that the thread's next unfold overwrites.
+    ``"cols"`` of ``store``: the conv node's own on a tape, where ``aux``
+    keeps the columns for the backward; views that the thread's next
+    unfold overwrites in ``vars(_SCRATCH)``, which only
+    :func:`conv2d_forward` passes; fresh without a store.
     """
     c_in, h, w, n_im = x.shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
     pixels = c_in * h * w
-    src = _buffer(store, "padded", (pixels + 1, n_im), x)
-    cols = _buffer(store, "cols", (c_in * kh * kw, out_h * out_w * n_im), x)
+    src = _buffer(store, "padded", (pixels + 1, n_im), x.dtype)
+    cols = _buffer(store, "cols", (c_in * kh * kw, out_h * out_w * n_im), x.dtype)
     src[:pixels] = x.reshape(pixels, n_im)
     src[pixels] = 0
     # every index is in range; "clip" lets take write straight into the columns
@@ -209,17 +192,14 @@ def col2im(
     The kernel offsets are added in row-major ``(i, j)`` order into a
     ``(C, Hp, Wp, N)`` buffer, where each strided add moves whole runs of
     N contiguous values; the result is its unpadded interior, contiguous.
-    The padded buffer and the interior are :func:`_owned` ``"img"`` and
-    ``"gx"`` of a tape node's ``store``, or fresh.
+    The padded buffer and the interior are :func:`_buffer` ``"img"`` and
+    ``"gx"`` of ``store``.
     """
     c_in, h, w, n_im = x_shape
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
     cols = cols.reshape(c_in, kh, kw, out_h, out_w, n_im)
-    img = _owned(store, "img", (c_in, h + 2 * padding, w + 2 * padding, n_im), cols.dtype)
-    if img is None:
-        img = np.zeros((c_in, h + 2 * padding, w + 2 * padding, n_im), dtype=cols.dtype)
-    else:
-        img.fill(0)
+    img = _buffer(store, "img", (c_in, h + 2 * padding, w + 2 * padding, n_im), cols.dtype)
+    img.fill(0)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
@@ -227,11 +207,8 @@ def col2im(
             img[:, i:i_max:stride, j:j_max:stride] += cols[:, i, j]
     if padding == 0:
         return img
-    interior = img[:, padding:padding + h, padding:padding + w]
-    gx = _owned(store, "gx", x_shape, cols.dtype)
-    if gx is None:
-        return np.ascontiguousarray(interior)
-    np.copyto(gx, interior)
+    gx = _buffer(store, "gx", x_shape, cols.dtype)
+    np.copyto(gx, img[:, padding:padding + h, padding:padding + w])
     return gx
 
 
@@ -248,21 +225,15 @@ def conv2d_forward(w: np.ndarray, x: np.ndarray, kernel: tuple[int, int, int],
     which the next call on the thread overwrites; the result is the
     gemm's fresh output, so nothing returned aliases the scratch.
     """
-    aux = {"kernel": kernel, "stride": stride, "padding": padding}
-    return _conv2d([w, x], aux, _SCRATCH)[0]
+    _, kh, kw = kernel
+    out_h, out_w = conv_output_size(x.shape[1], x.shape[2], kh, kw, stride, padding)
+    cols = im2col(x, kh, kw, stride, padding, vars(_SCRATCH))
+    return (w @ cols).reshape(w.shape[0], out_h, out_w, x.shape[3])
 
 
 def gram_deviation(x: np.ndarray):
     """``‖XᵀX − I‖_F`` of a 2-D ``x`` at its precision; the ``gram_deviation`` forward."""
-    return _gram_deviation([x], None)[0]
-
-
-def _gram_deviation(v, aux, store=None):
-    """The gram_deviation forward and the residual ``D = XᵀX − I`` its backward reads."""
-    x = v[0]
-    # a contiguous copy of Xᵀ pins the gemm operands, and so the bits of XᵀX
-    residual = np.ascontiguousarray(x.T) @ x - np.eye(x.shape[1], dtype=x.dtype)
-    return _f_frobenius([residual], None, None), {"residual": residual}
+    return _f_gram_deviation([x], None, None)
 
 
 def hoyer(s: np.ndarray, eps: float):
@@ -276,10 +247,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-# --- per-op forward functions: (input values, aux, store), dtype-agnostic ---
-# ``store`` is the node's aux on a tape, where an activation-sized result
-# goes into a buffer the node owns (see _owned), or None, which makes the
-# forward pure: a replay at another precision keeps nothing.
+# --- per-op forward functions: (input values, aux, store) -> value, dtype-agnostic ---
+# ``store`` is the node's aux on a tape, where an activation-sized result and
+# what the backward reads go into _buffer entries the node owns, or None,
+# which makes the forward pure: a replay at another precision keeps nothing.
 
 
 def _f_add(v, aux, store):
@@ -291,11 +262,9 @@ def _f_scale(v, aux, store):
 
 
 def _transposed(a: np.ndarray, axes, store: dict | None, key: str) -> np.ndarray:
-    """``a`` permuted by ``axes`` as a C-contiguous array: :func:`_owned` ``key``, or fresh."""
+    """``a`` permuted by ``axes`` as a C-contiguous array: :func:`_buffer` ``key`` of ``store``."""
     view = a.transpose(axes)
-    out = _owned(store, key, view.shape, a.dtype)
-    if out is None:
-        return np.ascontiguousarray(view)
+    out = _buffer(store, key, view.shape, a.dtype)
     out[...] = view
     return out
 
@@ -305,7 +274,7 @@ def _f_transpose(v, aux, store):
 
 
 def _f_relu(v, aux, store):
-    return np.maximum(v[0], 0, out=_owned(store, "out", v[0].shape, v[0].dtype))
+    return np.maximum(v[0], 0, out=_buffer(store, "out", v[0].shape, v[0].dtype))
 
 
 def _f_reshape(v, aux, store):
@@ -320,7 +289,7 @@ def _f_frobenius(v, aux, store):
 
 def _f_linear(v, aux, store):
     x, w, b = v
-    out = np.matmul(x, w, out=_owned(store, "out", (x.shape[0], w.shape[1]), x.dtype))
+    out = np.matmul(x, w, out=_buffer(store, "out", (x.shape[0], w.shape[1]), x.dtype))
     out += b
     return out
 
@@ -333,25 +302,29 @@ def _f_softmax_ce(v, aux, store):
     return (lse - z[np.arange(logits.shape[0]), labels]).mean()
 
 
-def _conv2d(v, aux, store=None):
-    """The one conv forward formula: the output and the im2col columns it used.
+def _f_gram_deviation(v, aux, store):
+    x = v[0]
+    # the residual D = XᵀX − I is what the backward reads; a contiguous copy
+    # of Xᵀ pins the gemm operands, and so the bits of XᵀX
+    residual = np.matmul(np.ascontiguousarray(x.T), x,
+                         out=_buffer(store, "residual", (x.shape[1],) * 2, x.dtype))
+    residual -= np.eye(x.shape[1], dtype=x.dtype)
+    return _f_frobenius([residual], None, None)
+
+
+def _f_conv2d(v, aux, store):
+    """The one conv forward formula; on a tape ``store`` keeps the im2col columns.
 
     ``x`` and the output are batch-innermost, so the output is the gemm
-    result ``(c_out, Ho*Wo*N)`` reshaped, without a copy.  ``store`` is
-    :func:`im2col`'s.  On a tape it is the node's ``aux``, which keeps the
-    columns for the backward and owns the gemm output; with ``_SCRATCH``
-    (inference) or None the gemm output is fresh.
+    result ``(c_out, Ho*Wo*N)`` reshaped, without a copy.
     """
     w, x = v
     c_in, kh, kw = aux["kernel"]
     stride, padding = aux["stride"], aux["padding"]
     out_h, out_w = conv_output_size(x.shape[1], x.shape[2], kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding, store)
-    if store is None or store is _SCRATCH:
-        out = w @ cols  # fresh: inference returns it, so it never aliases the scratch
-    else:
-        out = np.matmul(w, cols, out=_owned(store, "out", (w.shape[0], cols.shape[1]), cols.dtype))
-    return out.reshape(w.shape[0], out_h, out_w, x.shape[3]), {"cols": cols}
+    out = np.matmul(w, cols, out=_buffer(store, "out", (w.shape[0], cols.shape[1]), cols.dtype))
+    return out.reshape(w.shape[0], out_h, out_w, x.shape[3])
 
 
 def _batch_major(m: np.ndarray, n_im: int, store: dict | None, key: str) -> np.ndarray:
@@ -379,15 +352,6 @@ def _leaf_array(value) -> np.ndarray:
     return arr
 
 
-# Ops whose backward reads an intermediate of the forward: a forward that
-# returns the value and those intermediates, which the tape keeps in the
-# node's aux.  A replay at another precision needs only the value.  Every
-# other op's forward is in _FORWARD.
-_SAVING = {
-    "conv2d": _conv2d,
-    "gram_deviation": _gram_deviation,
-}
-
 _FORWARD = {
     "add": _f_add,
     "scale": _f_scale,
@@ -396,32 +360,18 @@ _FORWARD = {
     "reshape": _f_reshape,
     "frobenius_norm": _f_frobenius,
     "factor_product": lambda v, aux, store: dense_weight(*v),
+    "gram_deviation": _f_gram_deviation,
     "hoyer": lambda v, aux, store: hoyer(v[0], HOYER_EPS),
     "linear": _f_linear,
     "softmax_cross_entropy": _f_softmax_ce,
+    "conv2d": _f_conv2d,
 }
-
-
-def _node_forward(op: str, inputs: list, aux: dict, save: bool):
-    """One node's forward value.
-
-    With ``save`` (building or re-running a tape), ``aux`` is the op's
-    store: its buffers hold the value and what the backward reads.
-    Without it (a replay) the forward keeps nothing.
-    """
-    store = aux if save else None
-    if op not in _SAVING:
-        return _FORWARD[op](inputs, aux, store)
-    value, saved = _SAVING[op](inputs, aux, store)
-    if save:
-        aux.update(saved)
-    return value
 
 
 # --- per-op vector-Jacobian products: grad list, one entry per input ---
 # An entry may be None for an input that needs no gradient; backward skips it.
 # ``aux`` is the node's store: an activation-sized gradient goes into a
-# buffer the node owns, which the next backward pass overwrites.
+# _buffer entry the node owns, which the next backward pass overwrites.
 
 
 def _b_add(g, v, out, aux):
@@ -439,8 +389,8 @@ def _b_transpose(g, v, out, aux):
 
 def _b_relu(g, v, out, aux):
     x = v[0]
-    mask = np.greater(x, 0, out=_owned(aux, "mask", x.shape, bool))
-    return [np.multiply(g, mask, out=_owned(aux, "gx", x.shape, g.dtype))]
+    mask = np.greater(x, 0, out=_buffer(aux, "mask", x.shape, bool))
+    return [np.multiply(g, mask, out=_buffer(aux, "gx", x.shape, g.dtype))]
 
 
 def _b_reshape(g, v, out, aux):
@@ -476,9 +426,9 @@ def _b_hoyer(g, v, out, aux):
 
 def _b_linear(g, v, out, aux):
     x, w, b = v
-    return [np.matmul(g, w.T, out=_owned(aux, "gx", x.shape, g.dtype)),
-            np.matmul(x.T, g, out=_owned(aux, "gw", w.shape, g.dtype)),
-            g.sum(axis=0, out=_owned(aux, "gb", b.shape, g.dtype))]
+    return [np.matmul(g, w.T, out=_buffer(aux, "gx", x.shape, g.dtype)),
+            np.matmul(x.T, g, out=_buffer(aux, "gw", w.shape, g.dtype)),
+            g.sum(axis=0, out=_buffer(aux, "gb", b.shape, g.dtype))]
 
 
 def _b_softmax_ce(g, v, out, aux):
@@ -500,10 +450,10 @@ def _b_conv2d(g, v, out, aux):
     n_im = x.shape[3]
     g_bm = _batch_major(g_mat, n_im, aux, "g_rows")
     cols_bm = _batch_major(cols, n_im, aux, "col_rows")
-    gw = np.matmul(g_bm, cols_bm.T, out=_owned(aux, "gw", w.shape, g.dtype))
+    gw = np.matmul(g_bm, cols_bm.T, out=_buffer(aux, "gw", w.shape, g.dtype))
     if not aux["x_needs_grad"]:
         return [gw, None]
-    gx_cols = np.matmul(w.T, g_mat, out=_owned(aux, "gx_cols", cols.shape, g.dtype))
+    gx_cols = np.matmul(w.T, g_mat, out=_buffer(aux, "gx_cols", cols.shape, g.dtype))
     return [gw, col2im(gx_cols, x.shape, kh, kw, stride, padding, aux)]
 
 
@@ -545,7 +495,7 @@ class Graph:
 
     def _apply(self, op: str, inputs: tuple[int, ...], aux: dict | None = None) -> int:
         aux = aux or {}
-        value = _node_forward(op, [self.nodes[i].value for i in inputs], aux, save=True)
+        value = _FORWARD[op]([self.nodes[i].value for i in inputs], aux, aux)
         return self._append(Node(op=op, inputs=inputs, value=value, aux=aux,
                                  needs_grad=self._any_needs_grad(inputs)))
 
@@ -678,8 +628,8 @@ class Graph:
         nodes = self.nodes
         for node in nodes:
             if node.op != "leaf":
-                node.value = _node_forward(node.op, [nodes[i].value for i in node.inputs],
-                                           node.aux, save=True)
+                node.value = _FORWARD[node.op]([nodes[i].value for i in node.inputs],
+                                               node.aux, node.aux)
 
     # -- differentiation ----------------------------------------------------
 
@@ -737,8 +687,7 @@ class Graph:
         for nid in order:
             node = self.nodes[nid]
             if node.op != "leaf":
-                vals[nid] = _node_forward(node.op, [vals[i] for i in node.inputs], node.aux,
-                                          save=False)
+                vals[nid] = _FORWARD[node.op]([vals[i] for i in node.inputs], node.aux, None)
         return vals[target]
 
 

@@ -6,14 +6,16 @@ Subcommands:
     eval      accuracy of one task's extracted sub-network on a saved dataset
     report    aggregate metrics.json files from several runs into mean(std)
 
-Config files are a single flat JSON object; see CONFIG_KEYS (stream and
-network geometry) and TRAIN_KEYS (optimization).  ``seed`` feeds both
-the stream generator and the trainer.
+Config files are a single flat JSON object: the fields of TaskStreamSpec
+(STREAM_KEYS), the network geometry (NETWORK_KEYS) and the fields of
+TrainConfig (TRAIN_KEYS).  ``seed`` feeds both the stream generator and
+the trainer.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,24 +33,19 @@ from .errors import (
     NumericError,
     ShapeError,
     TrainingError,
+    is_int,
 )
 from .metrics import MetricsReport
 
-STREAM_KEYS = {
-    "kind", "tasks", "classes_per_task", "samples_per_class", "input_shape",
-    "seed", "overlap", "scale", "path", "partitions",
-}
+STREAM_KEYS = {f.name for f in dataclasses.fields(TaskStreamSpec)}
 NETWORK_KEYS = {"channels", "kernel", "stride", "padding"}
-TRAIN_KEYS = {
-    "epochs", "batch_size", "base_lr", "lr_drop_epochs", "lr_drop_factor",
-    "lambda_orth", "lambda_sparse", "energy_e", "mode", "seed", "min_rank",
-    "beta1", "beta2", "eps",
-}
+TRAIN_KEYS = {f.name for f in dataclasses.fields(tr.TrainConfig)}
 CONFIG_KEYS = STREAM_KEYS | NETWORK_KEYS | TRAIN_KEYS
+# annotations are strings here: both modules use ``from __future__ import annotations``
 INT_KEYS = {
-    "tasks", "classes_per_task", "samples_per_class", "seed", "epochs", "batch_size",
-    "min_rank", "kernel",
-}
+    f.name for cls in (TaskStreamSpec, tr.TrainConfig) for f in dataclasses.fields(cls)
+    if f.type == "int"
+} | {"kernel"}
 
 
 def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
@@ -68,11 +65,7 @@ def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
     )
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
-    # a bool is an int to Python, and a float or string would only fail
-    # (or be truncated) deep inside stream generation or training
-    not_int = sorted(
-        k for k in INT_KEYS & set(blob) if not isinstance(blob[k], int) or isinstance(blob[k], bool)
-    )
+    not_int = sorted(k for k in INT_KEYS & set(blob) if not is_int(blob[k]))
     if not_int:
         raise ConfigError(f"config keys must be integers: {', '.join(not_int)}")
 

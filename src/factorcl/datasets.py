@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, is_int
 
 TRAIN_FRACTION = 0.8
 # Blob noise std as a fraction of scale; overlap moves cluster centers, not noise.
@@ -143,8 +143,12 @@ class TaskStreamSpec:
             raise ConfigError(f"unknown stream kind {self.kind!r}")
         if self.tasks < 1 or self.classes_per_task < 2 or self.samples_per_class < 2:
             raise ConfigError("need >= 1 task, >= 2 classes and >= 2 samples per class")
-        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
-            raise ConfigError(f"input_shape must be (channels, h, w), got {self.input_shape}")
+        shape = self.input_shape
+        if len(shape) != 3 or not all(map(is_int, shape)) or min(shape) < 1:
+            raise ConfigError(f"input_shape must be positive integers (channels, h, w), "
+                              f"got {shape}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if isinstance(self.overlap, (tuple, list)) and len(self.overlap) != self.tasks:
             raise ConfigError("per-task overlap needs one value per task")
         overlaps = self.overlap if isinstance(self.overlap, (tuple, list)) else (self.overlap,)

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer test."""
+
+import numbers
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer (Python's or numpy's) and not a bool.
+
+    A bool is an int to Python, and a float would only fail (or be
+    truncated) deep inside stream generation or training.
+    """
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ShapeError(ValueError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, is_int
 from .linalg import DTYPE, dense_weight, random_orthonormal
 
 
@@ -39,8 +39,9 @@ class LayerShape:
     w: int
 
     def __post_init__(self):
-        if min(self.c, self.n, self.h, self.w) < 1:
-            raise ConfigError(f"layer dimensions must be positive, got {self}")
+        dims = (self.c, self.n, self.h, self.w)
+        if not all(map(is_int, dims)) or min(dims) < 1:
+            raise ConfigError(f"layer dimensions must be positive integers, got {self}")
 
     @property
     def q(self) -> int:
@@ -53,10 +54,15 @@ class LayerShape:
 
 def _feature_dim(layers, input_hw, strides, paddings) -> int:
     """Flattened size of the conv stack's output: the head's input width."""
+    if not layers:
+        raise ConfigError("network needs at least one layer")
+    if not all(map(is_int, input_hw)):
+        raise ConfigError(f"input_hw must be integers, got {input_hw}")
     h, w = input_hw
     for shape, stride, pad in zip(layers, strides, paddings):
-        if stride < 1 or pad < 0:
-            raise ConfigError(f"stride must be >= 1 and padding >= 0, got {stride} and {pad}")
+        if not (is_int(stride) and is_int(pad)) or stride < 1 or pad < 0:
+            raise ConfigError(f"stride must be an integer >= 1 and padding an integer >= 0, "
+                              f"got {stride} and {pad}")
         h, w = ad.conv_output_size(h, w, shape.h, shape.w, stride, pad)
         if h < 1 or w < 1:
             raise ConfigError("feature map collapsed to zero size")
@@ -75,8 +81,6 @@ class NetworkSpec:
 
     def __post_init__(self):
         n_layers = len(self.layers)
-        if n_layers == 0:
-            raise ConfigError("network needs at least one layer")
         for name in ("strides", "paddings"):
             if len(getattr(self, name)) != n_layers:
                 raise ConfigError(f"{name} must have one entry per layer")
@@ -119,9 +123,7 @@ class NetworkSpec:
         n = len(layers)
 
         def per_layer(value):
-            if isinstance(value, (tuple, list)):
-                return tuple(int(v) for v in value)
-            return (int(value),) * n
+            return tuple(value) if isinstance(value, (tuple, list)) else (value,) * n
 
         strides, paddings = per_layer(stride), per_layer(padding)
         return cls(
@@ -163,14 +165,6 @@ class TaskFactors:
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(s.shape[0] for s in self.sigma)
-
-    def copy(self) -> "TaskFactors":
-        return TaskFactors(
-            task=self.task,
-            u=[a.copy() for a in self.u],
-            sigma=[a.copy() for a in self.sigma],
-            v=[a.copy() for a in self.v],
-        )
 
 
 @dataclass(frozen=True)
@@ -370,21 +364,18 @@ def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     ``(N, head_input_dim)`` features; the conv stack runs batch-innermost
     ``(C, H, W, N)`` in between, over chunks of :func:`_chunk_images`
     images, so its unfold scratch stays within :data:`CHUNK_BYTES`
-    whatever N is.  A batch of one chunk is copied to C order on exit; a
-    larger one copies each chunk's features into its rows of one array.
-    An input whose channels or image size are not the spec's is a
-    :class:`ShapeError`: a strided stack could otherwise map a smaller
-    image to the head's width.
+    whatever N is.  Each chunk's features are copied into its rows of one
+    C-ordered array.  An input whose channels or image size are not the
+    spec's is a :class:`ShapeError`: a strided stack could otherwise map a
+    smaller image to the head's width.
     """
     got, expected = np.shape(x), (spec.layers[0].n, *spec.input_hw)
     if len(got) != 4 or got[1:] != expected:
         raise ShapeError(f"input must be (N, {', '.join(map(str, expected))}), got {got}")
     n = got[0]
+    chunk = 1 if n <= 1 else _chunk_images(spec)  # one image is always one chunk
     # the flatten of the transpose is a strided view: the head gemm takes
     # another BLAS path on it, so the features are copied to C order
-    if n <= 1 or n <= (chunk := _chunk_images(spec)):  # one image is always one chunk
-        h = _conv_stack(weights, spec, x)
-        return np.ascontiguousarray(h.transpose(3, 0, 1, 2).reshape(n, spec.head_input_dim))
     feats = np.empty((n, spec.head_input_dim), dtype=DTYPE)
     for start in range(0, n, chunk):
         h = _conv_stack(weights, spec, x[start:start + chunk])

@@ -11,25 +11,11 @@ for reports and tests evaluate the same forward functions in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .factorized import TaskFactors
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_orth: float
-    lambda_sparse: float
-
-    def __post_init__(self):
-        for name in ("lambda_orth", "lambda_sparse"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise ConfigError(f"{name} must be finite and non-negative, got {val}")
 
 
 def gram_deviation(m: np.ndarray) -> float:

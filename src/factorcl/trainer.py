@@ -68,6 +68,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         drops = tuple(self.lr_drop_epochs)
         if any(b <= a for a, b in zip(drops, drops[1:])) or any(
             d >= self.epochs or d < 0 for d in drops
@@ -85,7 +87,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        reg.LossWeights(self.lambda_orth, self.lambda_sparse)  # validates
+        for name in ("lambda_orth", "lambda_sparse"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         self.prune_config()  # validates
 
     def prune_config(self) -> cp.PruneConfig:

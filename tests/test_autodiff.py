@@ -111,7 +111,7 @@ def test_im2col_col2im_match_per_pixel_loops(hw, stride, padding, kernel):
         want = _im2col_loop(x, kh, kw, stride, padding).tobytes()
         cols = ad.im2col(x, kh, kw, stride, padding)
         assert cols.tobytes() == want
-        assert ad.im2col(x, kh, kw, stride, padding, ad._SCRATCH).tobytes() == want
+        assert ad.im2col(x, kh, kw, stride, padding, vars(ad._SCRATCH)).tobytes() == want
         g = rng_array(cols.shape, seed=41)
         img = ad.col2im(g, x_shape, kh, kw, stride, padding)
         assert img.shape == x_shape and img.flags["C_CONTIGUOUS"]
@@ -131,7 +131,7 @@ def test_conv2d_weight_gradient_sums_over_batch_major_columns(stride, padding):
     x = rng_array((c_in, h, w, n_im), seed=44)
     weight = rng_array((c_out, c_in * kh * kw), seed=45)
     aux = {"kernel": (c_in, kh, kw), "stride": stride, "padding": padding, "x_needs_grad": False}
-    out = ad._node_forward("conv2d", [weight, x], aux, save=True)
+    out = ad._FORWARD["conv2d"]([weight, x], aux, aux)
     g = rng_array(out.shape, seed=46)
     gw, _ = ad._b_conv2d(g, [weight, x], out, aux)
     # both gemm operands with columns in (image, out row, out col) order
@@ -172,7 +172,7 @@ def test_conv2d_forward_matches_the_tape_formula_bitwise(padding, stride, dtype)
     for n_im in (256, 1, 7, 256):
         x = rng_array((c_in, 6, 5, n_im), seed=51 + n_im, offset=1.0).astype(dtype)
         got = ad.conv2d_forward(weight, x, (c_in, kh, kw), stride, padding)
-        want = ad._conv2d([weight, x], aux)[0]  # the tape's formula, fresh buffers
+        want = ad._FORWARD["conv2d"]([weight, x], aux, None)  # the tape's formula, fresh buffers
         assert got.dtype == want.dtype == dtype
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -181,9 +181,9 @@ def test_conv2d_forward_zeroes_a_border_wider_than_the_image():
     weight = rng_array((2, 2 * 3 * 3), seed=58)
     aux = {"kernel": (2, 3, 3), "stride": 1, "padding": 3}
     x = rng_array((2, 1, 2, 5), seed=59)  # padding 3 around a 1x2 image
-    ad._scratch("padded", (4096,), weight)[:] = np.nan  # stale contents
+    ad._buffer(vars(ad._SCRATCH), "padded", (4096,), weight.dtype)[:] = np.nan  # stale contents
     got = ad.conv2d_forward(weight, x, (2, 3, 3), 1, 3)
-    assert got.tobytes() == ad._conv2d([weight, x], aux)[0].tobytes()
+    assert got.tobytes() == ad._FORWARD["conv2d"]([weight, x], aux, None).tobytes()
 
 
 def test_inference_results_survive_later_calls():
@@ -205,15 +205,17 @@ def test_same_geometry_reuses_the_column_memory(monkeypatch):
     original = ad.im2col
     monkeypatch.setattr(ad, "im2col", lambda *args: unfolded.append(original(*args)) or unfolded[-1])
     weight = rng_array((4, 3 * 3 * 3), seed=53)
-    for seed in (54, 55):
-        ad.conv2d_forward(weight, rng_array((3, 6, 6, 8), seed=seed), (3, 3, 3), 1, 1)
+    for seed, n_im in ((54, 8), (55, 8), (57, 3)):
+        ad.conv2d_forward(weight, rng_array((3, 6, 6, n_im), seed=seed), (3, 3, 3), 1, 1)
     assert np.shares_memory(unfolded[0], unfolded[1])
+    # a smaller batch after a larger one views the larger batch's columns
+    assert unfolded[2].shape == (27, 6 * 6 * 3) and np.shares_memory(unfolded[2], unfolded[0])
     # the tape keeps each conv node's columns for its backward: its own, never scratch
     g = ad.Graph()
     x = g.leaf(rng_array((3, 6, 6, 8), seed=56))
     node = g.nodes[g.conv2d(g.leaf(weight), x, kernel=(3, 3, 3), stride=1, padding=1)]
-    assert node.aux["cols"] is unfolded[2]
-    assert not np.shares_memory(unfolded[2], unfolded[1])
+    assert node.aux["cols"] is unfolded[3]
+    assert not np.shares_memory(unfolded[3], unfolded[1])
 
 
 def _float64_logits(weights, head, spec, x, images=128):
@@ -224,7 +226,7 @@ def _float64_logits(weights, head, spec, x, images=128):
         for l, shape in enumerate(spec.layers):
             aux = {"kernel": (shape.n, shape.h, shape.w), "stride": spec.strides[l],
                    "padding": spec.paddings[l]}
-            h = np.maximum(ad._conv2d([weights[l].astype(np.float64), h], aux)[0], 0)
+            h = np.maximum(ad._FORWARD["conv2d"]([weights[l].astype(np.float64), h], aux, None), 0)
         feats = h.transpose(3, 0, 1, 2).reshape(h.shape[3], -1)
         out.append(feats @ head.weight.astype(np.float64) + head.bias)
     return np.concatenate(out)
@@ -243,7 +245,7 @@ def test_inference_unfolds_a_large_batch_in_chunks_within_the_budget(monkeypatch
     x = rng.normal(size=(1024, 3, 16, 16)).astype(np.float32)
     logits = fz.run_network(weights, head, spec, x)
     for slot in ("padded", "cols"):
-        assert getattr(ad._SCRATCH, slot).nbytes <= fz.CHUNK_BYTES, slot
+        assert vars(ad._SCRATCH)[slot].nbytes <= fz.CHUNK_BYTES, slot
     want = _float64_logits(weights, head, spec, x)
     assert np.abs(logits - want).max() <= 1e-5 * np.abs(want).max()
     # a batch of exactly k chunks gives, bit for bit, its chunks' features one by one
@@ -599,8 +601,8 @@ def test_feed_checks_what_building_checked():
 
 def test_gram_deviation_backward_reads_the_forward_residual(monkeypatch):
     calls = []
-    forward = ad._SAVING["gram_deviation"]
-    monkeypatch.setitem(ad._SAVING, "gram_deviation",
+    forward = ad._FORWARD["gram_deviation"]
+    monkeypatch.setitem(ad._FORWARD, "gram_deviation",
                         lambda v, aux, store: calls.append(1) or forward(v, aux, store))
     g = ad.Graph()
     x = g.leaf(rng_array((5, 3), seed=56), trainable=True)
@@ -613,9 +615,7 @@ def test_gram_deviation_backward_reads_the_forward_residual(monkeypatch):
 
 
 def test_each_op_has_exactly_one_forward():
-    for op in ad._BACKWARD:
-        assert (op in ad._FORWARD) != (op in ad._SAVING), op
-    assert ad._FORWARD.keys() | ad._SAVING.keys() == ad._BACKWARD.keys()
+    assert ad._FORWARD.keys() == ad._BACKWARD.keys()
 
 
 # -- finite-difference checks, one per op ---------------------------------------

@@ -120,6 +120,11 @@ def only_error_line(capsys) -> str:
     {"seed": None},
     {"min_rank": True},
     {"kernel": 3.0},
+    {"seed": -1},
+    {"channels": []},
+    {"channels": [4.5]},
+    {"input_shape": [2.5, 6, 6]},
+    {"stride": 1.5},
 ])
 def test_train_reports_bad_config_values_as_one_error_line(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "cfg.json", **overrides)
@@ -234,7 +239,7 @@ def test_eval_scores_a_dataset_of_several_chunks_within_the_budget(train_run, tm
     assert code == 0
     assert float(capsys.readouterr().out.split()[-1]) == report.acc_matrix[2, 0]
     for slot in ("padded", "cols"):
-        assert getattr(ad._SCRATCH, slot).nbytes <= fz.CHUNK_BYTES, slot
+        assert vars(ad._SCRATCH)[slot].nbytes <= fz.CHUNK_BYTES, slot
 
 
 def test_eval_rejects_out_of_range_task(train_run, capsys):

@@ -4,7 +4,7 @@ import pytest
 from factorcl import autodiff as ad
 from factorcl import factorized as fz
 from factorcl import trainer as tr
-from factorcl.errors import NumericError, ShapeError
+from factorcl.errors import ConfigError, NumericError, ShapeError
 from factorcl.linalg import random_orthonormal
 
 
@@ -57,6 +57,12 @@ def test_network_spec_channel_mismatch():
             input_hw=(5, 5), head_input_dim=100,
             strides=(1, 1), paddings=(1, 1),
         )
+
+
+def test_network_spec_rejects_a_non_integer_input_size():
+    # a float size would pass the geometry checks and make head_input_dim a float
+    with pytest.raises(ConfigError):
+        fz.NetworkSpec.build((4,), in_channels=2, input_hw=(6.5, 6))
 
 
 def test_network_spec_head_dim_checked():
@@ -136,9 +142,7 @@ def test_compose_rank_one_addition_hand_oracle():
 def test_compose_linear_in_sigma():
     spec = small_spec()
     res = make_pruned(spec, task=1, seed=7, ranks=(3, 2))
-    doubled = res.copy()
-    for l in range(2):
-        doubled.sigma[l] *= 2.0
+    doubled = fz.TaskFactors(task=res.task, u=res.u, sigma=[s * 2.0 for s in res.sigma], v=res.v)
     for a, b in zip(composed_values(None, res), composed_values(None, doubled)):
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-6)
 

@@ -111,16 +111,6 @@ def test_l_sparse_concentration_decreases_ratio():
     assert reg.l_sparse(after) < reg.l_sparse(before)
 
 
-# -- loss weights -----------------------------------------------------
-
-
-def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        reg.LossWeights(lambda_orth=-0.1, lambda_sparse=0.0)
-    with pytest.raises(ValueError):
-        reg.LossWeights(lambda_orth=float("nan"), lambda_sparse=0.0)
-
-
 # -- graph builders ----------------------------------------------------------------
 
 

@@ -142,6 +142,18 @@ def test_config_validates_nested_knobs():
         tiny_cfg(lambda_orth=-1.0)
 
 
+def test_config_rejects_bad_loss_weights():
+    with pytest.raises(ConfigError):
+        tiny_cfg(lambda_orth=-0.1, lambda_sparse=0.0)
+    with pytest.raises(ConfigError):
+        tiny_cfg(lambda_orth=float("nan"), lambda_sparse=0.0)
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError):
+        tiny_cfg(seed=-1)
+
+
 # -- train_task ----------------------------------------------------------------------
 
 
@@ -170,13 +182,13 @@ def test_train_task_leaves_inputs_and_shared_untouched():
     fresh2, head2 = fz.expand(SPEC, 2, seed=0, classes=2)
     u_before = [a.copy() for a in space.u]
     sig_before = [a.copy() for a in space.sigma]
-    fresh2_before = fresh2.copy()
+    u2_before = [a.copy() for a in fresh2.u]
     tr.train_task(stream[1], space, fresh2, head2, tiny_cfg())
     for a, b in zip(space.u, u_before):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(space.sigma, sig_before):
         np.testing.assert_array_equal(a, b)
-    for a, b in zip(fresh2.u, fresh2_before.u):
+    for a, b in zip(fresh2.u, u2_before):
         np.testing.assert_array_equal(a, b)
 
 
