@@ -14,7 +14,7 @@ from .checkpoint import (
     save_dense_models,
     save_space,
 )
-from .compression import PruneConfig, compress, energy_prune, retained_rank, sort_by_magnitude
+from .compression import PruneConfig, compress, retained_rank, sort_by_magnitude
 from .datasets import TaskDataset, TaskStreamSpec, generate_stream
 from .errors import (
     ConfigError,
@@ -69,7 +69,6 @@ __all__ = [
     "compute_metrics",
     "dense_weight",
     "empty_space",
-    "energy_prune",
     "expand",
     "extract_subnetwork",
     "generate_stream",

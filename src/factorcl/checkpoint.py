@@ -28,7 +28,10 @@ or truncated file, or one holding a non-finite real, raises FormatError
 (with the failing byte offset) and never yields partial state.  Serving
 builds each layer's dense c x q weight, so a file whose layers sum to
 over MAX_DENSE_WEIGHTS of them is rejected as they are read: a zero-rank
-file of a hundred bytes could otherwise ask for gigabytes.  Loaded
+file of a hundred bytes could otherwise ask for gigabytes.  For the same
+reason a geometry that unfolds an image to over ``factorized.MAX_UNFOLD``
+values, or has a layer output as many, is rejected before any array is
+built.  Loaded
 arrays are owned, writable and C-contiguous.
 
 Datasets are plain npz archives, read eagerly: a damaged archive is a
@@ -102,9 +105,11 @@ class _Reader:
         at = self._advance(n)
         return bytes(self.data[at : at + n])
 
-    def u32(self, count: int = 1):
-        vals = struct.unpack_from(f"<{count}I", self.data, self._advance(4 * count))
-        return vals[0] if count == 1 else vals
+    def u32(self, count: int | None = None):
+        """One word as an int, or a tuple of ``count`` words when given a count."""
+        n = 1 if count is None else count
+        vals = struct.unpack_from(f"<{n}I", self.data, self._advance(4 * n))
+        return vals[0] if count is None else vals
 
     def _f32(self, n: int) -> np.ndarray:
         # a view of the blob, read-only: callers copy it exactly once
@@ -158,16 +163,19 @@ def _read_geometry(r: _Reader) -> NetworkSpec:
     at = r.pos
     input_h, input_w, head_dim = r.u32(3)
     try:
-        return NetworkSpec(
+        spec = NetworkSpec(
             layers=tuple(layers),
             input_hw=(input_h, input_w),
-            head_input_dim=head_dim,
             strides=tuple(strides),
             paddings=tuple(paddings),
         )
     except ValueError as exc:
-        # geometry fields are individually valid but mutually inconsistent
-        raise FormatError(f"inconsistent geometry: {exc}", offset=at) from exc
+        # fields individually valid, but mutually inconsistent or unfolding past the cap
+        raise FormatError(f"unusable geometry: {exc}", offset=at) from exc
+    if head_dim != spec.head_input_dim:
+        raise FormatError(f"inconsistent geometry: head_input_dim {head_dim} does not match "
+                          f"flattened conv output {spec.head_input_dim}", offset=at)
+    return spec
 
 
 def _read_head(r: _Reader, head_dim: int) -> TaskHead:
@@ -243,8 +251,7 @@ def space_from_bytes(data: bytes) -> SharedSpace:
     rank_table = []
     for l in range(spec.num_layers):
         at = r.pos
-        row = r.u32(t) if t else ()
-        row = (row,) if isinstance(row, int) else tuple(row)
+        row = r.u32(t)
         if any(b < a for a, b in zip((0,) + row, row)):
             raise FormatError(f"layer {l} rank table not non-decreasing", offset=at)
         rank_table.append(row)

@@ -33,7 +33,6 @@ from .errors import (
     NumericError,
     ShapeError,
     TrainingError,
-    is_int,
 )
 from .metrics import MetricsReport
 
@@ -41,11 +40,6 @@ STREAM_KEYS = {f.name for f in dataclasses.fields(TaskStreamSpec)}
 NETWORK_KEYS = {"channels", "kernel", "stride", "padding"}
 TRAIN_KEYS = {f.name for f in dataclasses.fields(tr.TrainConfig)}
 CONFIG_KEYS = STREAM_KEYS | NETWORK_KEYS | TRAIN_KEYS
-# annotations are strings here: both modules use ``from __future__ import annotations``
-INT_KEYS = {
-    f.name for cls in (TaskStreamSpec, tr.TrainConfig) for f in dataclasses.fields(cls)
-    if f.type == "int"
-} | {"kernel"}
 
 
 def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
@@ -65,9 +59,6 @@ def load_config(path) -> tuple[TaskStreamSpec, fz.NetworkSpec, tr.TrainConfig]:
     )
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
-    not_int = sorted(k for k in INT_KEYS & set(blob) if not is_int(blob[k]))
-    if not_int:
-        raise ConfigError(f"config keys must be integers: {', '.join(not_int)}")
 
     try:
         return _specs_from(blob)

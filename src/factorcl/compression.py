@@ -24,13 +24,10 @@ class PruneConfig:
     """
 
     energy_e: float
-    min_rank: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.energy_e < 1.0:
             raise ConfigError(f"energy_e must be in [0, 1), got {self.energy_e}")
-        if self.min_rank < 1:
-            raise ConfigError(f"min_rank must be >= 1, got {self.min_rank}")
 
 
 def sort_by_magnitude(f: TaskFactors) -> TaskFactors:
@@ -56,20 +53,18 @@ def sort_by_magnitude(f: TaskFactors) -> TaskFactors:
 
 
 def retained_rank(sigma: np.ndarray, cfg: PruneConfig) -> int:
-    """Minimal prefix length meeting the energy criterion, clamped to min_rank."""
+    """Minimal prefix length meeting the energy criterion; one column of an all-zero layer."""
     r = sigma.shape[0]
     if r == 0:
         return 0
     if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
         raise ValueError("sigma must be sorted descending and non-negative")
-    floor = min(cfg.min_rank, r)
     energy = sigma.astype(np.float64) ** 2
     total = float(energy.sum())
     if total == 0.0:
-        return floor
+        return 1
     hit = np.cumsum(energy) / total >= 1.0 - cfg.energy_e
-    k = int(np.argmax(hit)) + 1 if np.any(hit) else r
-    return max(k, floor)
+    return int(np.argmax(hit)) + 1 if np.any(hit) else r
 
 
 def _truncate(f: TaskFactors, ranks) -> TaskFactors:
@@ -82,13 +77,10 @@ def _truncate(f: TaskFactors, ranks) -> TaskFactors:
     return TaskFactors(task=f.task, u=u_out, sigma=s_out, v=v_out)
 
 
-def energy_prune(sorted_f: TaskFactors, cfg: PruneConfig) -> TaskFactors:
-    """Keep the leading retained_rank columns per layer."""
-    return _truncate(sorted_f, [retained_rank(s, cfg) for s in sorted_f.sigma])
-
-
 def compress(f: TaskFactors, cfg: PruneConfig) -> TaskFactors:
-    return energy_prune(sort_by_magnitude(f), cfg)
+    """Sort each layer by magnitude and keep its leading retained_rank columns."""
+    f = sort_by_magnitude(f)
+    return _truncate(f, [retained_rank(s, cfg) for s in f.sigma])
 
 
 def cap_ranks(f: TaskFactors, caps) -> TaskFactors:

@@ -141,6 +141,9 @@ class TaskStreamSpec:
     def __post_init__(self):
         if self.kind not in ("synthetic_blobs", "split_file"):
             raise ConfigError(f"unknown stream kind {self.kind!r}")
+        for name in ("tasks", "classes_per_task", "samples_per_class", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.tasks < 1 or self.classes_per_task < 2 or self.samples_per_class < 2:
             raise ConfigError("need >= 1 task, >= 2 classes and >= 2 samples per class")
         shape = self.input_shape
@@ -154,8 +157,8 @@ class TaskStreamSpec:
         overlaps = self.overlap if isinstance(self.overlap, (tuple, list)) else (self.overlap,)
         if any(not 0.0 <= float(o) <= 1.0 for o in overlaps):
             raise ConfigError(f"overlap values must lie in [0, 1], got {self.overlap}")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError(f"scale must be finite and positive, got {self.scale}")
         if self.kind == "split_file":
             if self.path is None or self.partitions is None:
                 raise ConfigError("split_file streams need path and partitions")

@@ -20,7 +20,7 @@ predecessors serve, and it is the forward of the tape's
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,32 +52,52 @@ class LayerShape:
         return max(1, (self.c * self.q) // (self.c + self.q + 1))
 
 
+# Cap on the values one image unfolds to, summed over layers (q * out_h * out_w
+# each), and on the values one layer outputs for it (c * out_h * out_w): the
+# im2col index table, the columns and the gemm output of a predict grow with them.
+MAX_UNFOLD = 1 << 24
+
+
 def _feature_dim(layers, input_hw, strides, paddings) -> int:
-    """Flattened size of the conv stack's output: the head's input width."""
+    """Flattened size of the conv stack's output: the head's input width.
+
+    The one walk over the geometry: a geometry that would unfold one
+    image to over :data:`MAX_UNFOLD` values, or have a layer output as
+    many for it, is refused here, before anything of that size is
+    allocated.
+    """
     if not layers:
         raise ConfigError("network needs at least one layer")
     if not all(map(is_int, input_hw)):
         raise ConfigError(f"input_hw must be integers, got {input_hw}")
     h, w = input_hw
-    for shape, stride, pad in zip(layers, strides, paddings):
+    unfold = 0
+    for l, (shape, stride, pad) in enumerate(zip(layers, strides, paddings)):
         if not (is_int(stride) and is_int(pad)) or stride < 1 or pad < 0:
             raise ConfigError(f"stride must be an integer >= 1 and padding an integer >= 0, "
                               f"got {stride} and {pad}")
         h, w = ad.conv_output_size(h, w, shape.h, shape.w, stride, pad)
         if h < 1 or w < 1:
             raise ConfigError("feature map collapsed to zero size")
+        unfold += shape.q * h * w
+        if unfold > MAX_UNFOLD:
+            raise ConfigError(f"layers 0..{l} unfold an image to {unfold} values, over "
+                              f"the cap of {MAX_UNFOLD}")
+        if shape.c * h * w > MAX_UNFOLD:
+            raise ConfigError(f"layer {l} outputs {shape.c * h * w} values an image, over "
+                              f"the cap of {MAX_UNFOLD}")
     return layers[-1].c * h * w
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Static architecture: conv stack geometry plus the head input width."""
+    """Static architecture: conv stack geometry; the head input width derives from it."""
 
     layers: tuple[LayerShape, ...]
     input_hw: tuple[int, int]
-    head_input_dim: int
     strides: tuple[int, ...]
     paddings: tuple[int, ...]
+    head_input_dim: int = field(init=False)
 
     def __post_init__(self):
         n_layers = len(self.layers)
@@ -90,11 +110,7 @@ class NetworkSpec:
                     f"layer input channels {nxt.n} do not match previous output {prev.c}"
                 )
         features = _feature_dim(self.layers, self.input_hw, self.strides, self.paddings)
-        if self.head_input_dim != features:
-            raise ConfigError(
-                f"head_input_dim {self.head_input_dim} does not match "
-                f"flattened conv output {features}"
-            )
+        object.__setattr__(self, "head_input_dim", features)
 
     @property
     def num_layers(self) -> int:
@@ -125,13 +141,11 @@ class NetworkSpec:
         def per_layer(value):
             return tuple(value) if isinstance(value, (tuple, list)) else (value,) * n
 
-        strides, paddings = per_layer(stride), per_layer(padding)
         return cls(
             layers=tuple(layers),
             input_hw=tuple(input_hw),
-            head_input_dim=_feature_dim(layers, input_hw, strides, paddings),
-            strides=strides,
-            paddings=paddings,
+            strides=per_layer(stride),
+            paddings=per_layer(padding),
         )
 
 

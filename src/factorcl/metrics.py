@@ -103,8 +103,6 @@ class MetricsReport:
 
 def as_matrix(rows) -> np.ndarray:
     """Normalize a list of lower-triangular rows into a NaN-padded square."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[0] == rows.shape[1]:
-        return rows.astype(np.float64)
     t = len(rows)
     out = np.full((t, t), np.nan)
     for j, row in enumerate(rows):

@@ -36,18 +36,17 @@ def l_orth(factors: TaskFactors) -> float:
     return total
 
 
-def l_sparse(factors: TaskFactors, guarded: bool = False) -> float:
+def l_sparse(factors: TaskFactors) -> float:
     """Hoyer ratio ||sigma||_1 / ||sigma||_2 summed over layers.
 
-    The exact form divides by ||sigma||_2 and raises on an all-zero
-    layer; the guarded form adds ``autodiff.HOYER_EPS`` to the
-    denominator and is what training uses.
+    This exact form raises on an all-zero layer; training's
+    :func:`l_sparse_graph` adds ``autodiff.HOYER_EPS`` to the denominator.
     """
     total = 0.0
     for i, s in enumerate(factors.sigma):
-        if not guarded and not s.any():
+        if not s.any():
             raise NumericError(f"layer {i}: Hoyer ratio undefined for all-zero sigma")
-        total += float(ad.hoyer(s.astype(np.float64), ad.HOYER_EPS if guarded else 0.0))
+        total += float(ad.hoyer(s.astype(np.float64), 0.0))
     return total
 
 

@@ -40,12 +40,16 @@ from . import compression as cp
 from . import factorized as fz
 from . import regularizers as reg
 from .datasets import TaskDataset
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, is_int
 from .metrics import MetricsReport, compute_metrics
 
 log = logging.getLogger(__name__)
 
 MODES = ("full", "fixed", "st", "baseline_ub")
+# Adam's moment decays and denominator fuzz, and the learning-rate divisor
+# at each of ``TrainConfig.lr_drop_epochs``.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+LR_DROP_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -54,18 +58,16 @@ class TrainConfig:
     batch_size: int = 32
     base_lr: float = 1e-3
     lr_drop_epochs: tuple[int, ...] = (80, 120, 180)
-    lr_drop_factor: float = 10.0
     lambda_orth: float = 1.0
     lambda_sparse: float = 0.1
     energy_e: float = 1e-5
     mode: str = "full"
     seed: int = 0
-    min_rank: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.seed < 0:
@@ -79,14 +81,8 @@ class TrainConfig:
             )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("base_lr", "lr_drop_factor", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
         for name in ("lambda_orth", "lambda_sparse"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -94,12 +90,12 @@ class TrainConfig:
         self.prune_config()  # validates
 
     def prune_config(self) -> cp.PruneConfig:
-        return cp.PruneConfig(self.energy_e, self.min_rank)
+        return cp.PruneConfig(self.energy_e)
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     drops = sum(1 for d in cfg.lr_drop_epochs if epoch >= d)
-    return cfg.base_lr / cfg.lr_drop_factor**drops
+    return cfg.base_lr / LR_DROP_FACTOR**drops
 
 
 class Adam:
@@ -114,11 +110,7 @@ class Adam:
     same precision, as a per-key loop would give it.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict[str, np.ndarray]):
         self.step_count = 0
         total = sum(p.size for p in params.values())
         self.flat = np.empty(total, dtype=ad.DTYPE)
@@ -138,16 +130,16 @@ class Adam:
             raise KeyError(f"Adam.step needs a gradient for each of {sorted(self._grads)}, "
                            f"got {sorted(grads)}")
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
         for key, view in self._grads.items():
             view[...] = grads[key]
         grad, (m, v) = self.grad, self.moments
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        self.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        self.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def _epoch_order(cfg: TrainConfig, task: int, epoch: int, n: int) -> np.ndarray:
@@ -215,7 +207,7 @@ def _fit(
     once for a short last batch.  While training, each entry is a view
     into Adam's parameter buffer; at the end it is an array of its own.
     """
-    adam = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
+    adam = Adam(params)
     n = data.train_x.shape[0]
     tapes: dict[int, _StepTape] = {}
     for epoch in range(cfg.epochs):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from factorcl import checkpoint as ck
 from factorcl import compression as cp
 from factorcl import factorized as fz
-from factorcl.datasets import TaskStreamSpec, generate_stream, read_npz
+from factorcl.cli import main
+from factorcl.datasets import TaskDataset, TaskStreamSpec, generate_stream, read_npz
 from factorcl.errors import FormatError
 from factorcl.trainer import DenseTaskModels
 
@@ -251,6 +252,51 @@ def test_dense_geometry_over_the_cap_rejected_at_its_layer(layers, offset):
     with pytest.raises(FormatError) as err:
         ck.space_from_bytes(_zero_rank_file(layers))
     assert err.value.offset == offset
+
+
+def _wide_padding_file(layout: str, padding: int) -> bytes:
+    """A one-task file of two 1x1 one-channel layers over a 1x1 input, all weights 0.
+
+    Layer 0 pads by ``padding``, so it unfolds an image to (2 * padding +
+    1)^2 values, and layer 1 strides over all of them, so the head reads
+    one value.  The file is about a hundred bytes whatever the padding.
+    """
+    side = 2 * padding + 1
+    geometry = struct.pack("<16I", 2, *(1, 1, 1, 1) * 2, 1, padding, side, 0, 1, 1, 1)
+    head = struct.pack("<2I", 12, 1) + bytes(8)
+    if layout == "cacl":  # flags 0; T = 1; rank 0 in both layers
+        return ck.MAGIC + struct.pack("<2I", ck.VERSION, 0) + geometry \
+            + struct.pack("<3I", 1, 0, 0) + head
+    return ck.DENSE_MAGIC + struct.pack("<I", ck.VERSION) + geometry \
+        + struct.pack("<I", 1) + bytes(8) + head  # T = 1; two 1x1 weights
+
+
+@pytest.mark.parametrize("layout", ["cacl", "cacd"])
+def test_a_geometry_that_unfolds_past_the_cap_is_rejected_at_parse(layout):
+    load = {"cacl": ck.space_from_bytes, "cacd": ck.dense_from_bytes}[layout]
+    # only parsed: 4001^2 + 1 values fit the cap, 4201^2 + 1 do not
+    assert load(_wide_padding_file(layout, 2000)).spec.head_input_dim == 1
+    with pytest.raises(FormatError, match="unfold"):
+        load(_wide_padding_file(layout, 2100))
+
+
+def test_eval_reports_a_geometry_past_the_unfold_cap_as_one_error_line(tmp_path, capsys):
+    model = tmp_path / "space.cacl"
+    model.write_bytes(_wide_padding_file("cacl", 2100))
+    data = tmp_path / "data.npz"
+    x, y = np.zeros((2, 1, 1, 1), np.float32), np.zeros(2, np.int64)
+    ck.save_dataset(data, TaskDataset(train_x=x, train_y=y, test_x=x, test_y=y, classes=1))
+    assert main(["eval", "--model", str(model), "--task", "1", "--data", str(data)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "unfold" in lines[0], lines
+
+
+def test_reader_u32_returns_a_tuple_when_given_a_count():
+    r = ck._Reader(struct.pack("<3I", 7, 8, 9))
+    assert r.u32() == 7
+    assert r.u32(0) == ()
+    assert r.u32(1) == (8,)
+    assert r.u32(1) == (9,)
 
 
 # -- npz artifacts ----------------------------------------------------------------------

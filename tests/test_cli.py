@@ -1,6 +1,8 @@
 import json
+import re
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from factorcl import autodiff as ad
 from factorcl import checkpoint as ck
 from factorcl import factorized as fz
-from factorcl.cli import load_config, main
+from factorcl.cli import CONFIG_KEYS, NETWORK_KEYS, STREAM_KEYS, TRAIN_KEYS, load_config, main
 from factorcl.datasets import TaskDataset
 from factorcl.errors import ConfigError
 from factorcl.metrics import MetricsReport, compute_metrics
@@ -125,6 +127,7 @@ def only_error_line(capsys) -> str:
     {"channels": [4.5]},
     {"input_shape": [2.5, 6, 6]},
     {"stride": 1.5},
+    {"scale": float("nan")},
 ])
 def test_train_reports_bad_config_values_as_one_error_line(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "cfg.json", **overrides)
@@ -132,6 +135,16 @@ def test_train_reports_bad_config_values_as_one_error_line(tmp_path, capsys, ove
     assert main(["train", "--config", str(config), "--out", str(out)]) == 1
     only_error_line(capsys)
     assert not out.exists()
+
+
+def test_train_refuses_a_geometry_past_the_unfold_cap_before_building_anything(tmp_path, capsys):
+    # layer 0 unfolds an image to 5 * 4201^2 values; layer 1 strides to one
+    config = write_config(tmp_path / "cfg.json", input_shape=[5, 1, 1], channels=[1, 1],
+                          kernel=1, stride=[1, 4201], padding=[2100, 0])
+    with pytest.raises(ConfigError, match="unfold"):
+        load_config(config)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert "unfold" in only_error_line(capsys)
 
 
 def test_train_reports_an_unreadable_split_file_as_one_error_line(tmp_path, capsys):
@@ -368,6 +381,31 @@ def test_eval_reports_a_bad_dense_model_as_one_error_line(dense_run, tmp_path, c
     ])
     assert code == 1
     assert says in only_error_line(capsys)
+
+
+# -- docs ------------------------------------------------------------------------------
+
+
+def readme_config_tables() -> list[list[str]]:
+    """The keys each table under README's "Config keys" heading lists in its first column."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    tables = []
+    for line in section.splitlines():
+        if line.startswith("| key |"):
+            tables.append([])
+        elif line.startswith("| `"):
+            tables[-1] += re.findall(r"`(\w+)`", line.split("|")[1])
+    return tables
+
+
+def test_readme_config_tables_list_exactly_the_config_keys():
+    stream, network, train = readme_config_tables()
+    assert set(stream) == STREAM_KEYS
+    assert set(network) == NETWORK_KEYS
+    assert set(train) == TRAIN_KEYS - STREAM_KEYS  # the shared seed is listed once
+    listed = stream + network + train
+    assert len(listed) == len(set(listed)) and set(listed) == CONFIG_KEYS
 
 
 # -- report ----------------------------------------------------------------------------

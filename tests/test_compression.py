@@ -107,7 +107,6 @@ def test_prune_e_zero_drops_exact_zeros():
 def test_prune_all_zero_retains_min_rank():
     s = np.zeros(5, np.float32)
     assert cp.retained_rank(s, cp.PruneConfig(1e-5)) == 1
-    assert cp.retained_rank(s, cp.PruneConfig(1e-5, min_rank=3)) == 3
 
 
 def test_prune_rejects_unsorted():
@@ -122,8 +121,6 @@ def test_prune_config_validation():
         cp.PruneConfig(energy_e=1.0)
     with pytest.raises(ValueError):
         cp.PruneConfig(energy_e=-0.1)
-    with pytest.raises(ValueError):
-        cp.PruneConfig(energy_e=0.1, min_rank=0)
 
 
 @given(

@@ -151,8 +151,17 @@ def test_degenerate_sizes_rejected():
         blob_spec(tasks=0)
     with pytest.raises(ConfigError):
         blob_spec(classes_per_task=1)
-    with pytest.raises(ConfigError):
-        blob_spec(scale=0.0)
+    for scale in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            blob_spec(scale=scale)
+
+
+@pytest.mark.parametrize("field", ["tasks", "classes_per_task", "samples_per_class", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_counts_must_be_integers(field, value):
+    # checked where the spec is made, not as a TypeError inside generate_stream
+    with pytest.raises(ConfigError, match=field):
+        blob_spec(**{field: value})
 
 
 def test_input_too_small_for_class_count():

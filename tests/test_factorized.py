@@ -54,8 +54,7 @@ def test_network_spec_channel_mismatch():
     with pytest.raises(ValueError):
         fz.NetworkSpec(
             layers=(fz.LayerShape(4, 2, 3, 3), fz.LayerShape(4, 8, 3, 3)),
-            input_hw=(5, 5), head_input_dim=100,
-            strides=(1, 1), paddings=(1, 1),
+            input_hw=(5, 5), strides=(1, 1), paddings=(1, 1),
         )
 
 
@@ -65,13 +64,39 @@ def test_network_spec_rejects_a_non_integer_input_size():
         fz.NetworkSpec.build((4,), in_channels=2, input_hw=(6.5, 6))
 
 
+def test_a_geometry_that_unfolds_an_image_past_the_cap_is_rejected():
+    # a 1x1 kernel over one channel unfolds an h x w image to h * w values
+    at_cap = fz.NetworkSpec.build((1,), in_channels=1, input_hw=(4096, 4096), kernel=1,
+                                  padding=0)
+    assert at_cap.head_input_dim == fz.MAX_UNFOLD
+    with pytest.raises(ConfigError, match="unfold"):
+        fz.NetworkSpec.build((1,), in_channels=1, input_hw=(4096, 4097), kernel=1, padding=0)
+    # the layers' unfolds add up: padding p makes layer 0 unfold (2p + 1)^2
+    # values of a 1x1 input, and layer 1 strides over all of them to one value
+    def two_layers(padding):
+        return fz.NetworkSpec.build((1, 1), in_channels=1, input_hw=(1, 1), kernel=1,
+                                    stride=(1, 2 * padding + 1), padding=(padding, 0))
+
+    assert two_layers(2000).head_input_dim == 1
+    with pytest.raises(ConfigError, match="unfold"):
+        two_layers(2100)
+    # a narrow unfold can still output too much: 65536 channels of 255 x 255
+    with pytest.raises(ConfigError, match="outputs"):
+        fz.NetworkSpec.build((65536, 1), in_channels=1, input_hw=(1, 1), kernel=1,
+                             stride=(1, 255), padding=(127, 0))
+
+
 def test_network_spec_head_dim_checked():
-    with pytest.raises(ValueError):
+    # the head width is derived from the geometry, never given
+    with pytest.raises(TypeError):
         fz.NetworkSpec(
             layers=(fz.LayerShape(4, 2, 3, 3),),
             input_hw=(5, 5), head_input_dim=7,
             strides=(1,), paddings=(1,),
         )
+    spec = fz.NetworkSpec(layers=(fz.LayerShape(4, 2, 3, 3),), input_hw=(5, 5),
+                          strides=(2,), paddings=(1,))
+    assert spec.head_input_dim == 4 * 3 * 3
 
 
 def test_expand_shapes_and_determinism():

@@ -80,7 +80,6 @@ def test_l_sparse_zero_layer_raises_unguarded():
     f = factors_from([np.eye(2)], [[0, 0]], [np.eye(2)])
     with pytest.raises(NumericError):
         reg.l_sparse(f)
-    assert reg.l_sparse(f, guarded=True) == 0.0
 
 
 def test_l_sparse_uses_magnitudes():
@@ -132,7 +131,7 @@ def test_graph_values_match_eager():
     orth = reg.l_orth_graph(g, [uid], [vid])
     sparse = reg.l_sparse_graph(g, [sid])
     assert abs(float(g.value(orth)) - reg.l_orth(f)) < 1e-4
-    assert abs(float(g.value(sparse)) - reg.l_sparse(f, guarded=True)) < 1e-5
+    assert abs(float(g.value(sparse)) - reg.l_sparse(f)) < 1e-5
 
 
 def test_gradient_group_separation():

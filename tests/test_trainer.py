@@ -75,7 +75,10 @@ def test_adam_decoupled_moments_per_key():
 
 
 def reference_adam_step(params, m, v, t, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam one key at a time, each key's arrays of their own: the flat buffer's oracle."""
+    """Adam one key at a time, each key's arrays of their own: the flat buffer's oracle.
+
+    Its defaults are Adam's usual values, written out, so it also checks ``trainer``'s constants.
+    """
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for key, grad in grads.items():
@@ -91,13 +94,13 @@ def test_flat_adam_matches_the_per_key_update_bitwise():
     m = {k: np.zeros_like(p) for k, p in ref.items()}
     v = {k: np.zeros_like(p) for k, p in ref.items()}
     params = {k: p.copy() for k, p in ref.items()}
-    opt = tr.Adam(params, beta1=0.8, beta2=0.99, eps=1e-6)
+    opt = tr.Adam(params)
     for t in range(1, 51):
         grads = {k: (rng.normal(size=sh) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
                  for k, sh in shapes.items()}
         lr = float(rng.choice([1e-1, 1e-3, 1e-5]))
         opt.step(grads, lr)
-        reference_adam_step(ref, m, v, t, grads, lr, beta1=0.8, beta2=0.99, eps=1e-6)
+        reference_adam_step(ref, m, v, t, grads, lr)
         for key in shapes:
             assert params[key].tobytes() == ref[key].tobytes(), (t, key)
     assert opt.step_count == 50
@@ -133,6 +136,14 @@ def test_config_rejects_nonpositive_sizes():
         tiny_cfg(epochs=0)
     with pytest.raises(ConfigError):
         tiny_cfg(batch_size=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 2.5), ("epochs", True), ("batch_size", 8.0), ("seed", "1"), ("seed", None),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_cfg(**{field: value})
 
 
 def test_config_validates_nested_knobs():
@@ -268,7 +279,7 @@ def reference_fit(data, spec, cfg, task, params, build):
                 loss = g.add(loss, term)
             grads = {g.nodes[i].name: d for i, d in g.backward(loss).items()}
             t += 1
-            reference_adam_step(params, m, v, t, grads, lr, cfg.beta1, cfg.beta2, cfg.eps)
+            reference_adam_step(params, m, v, t, grads, lr)
 
 
 def factor_build(spec, prefix, cfg):
@@ -542,7 +553,7 @@ def test_a_task_that_appends_nothing_has_prune_error_one():
 
 def test_unpruned_tasks_have_no_prune_error():
     full = [s.expansion_rank() for s in SPEC.layers]
-    cfg = tiny_cfg(min_rank=max(full), energy_e=0.5)
+    cfg = tiny_cfg(energy_e=0.0)
     _, report = tr.run_continual(tiny_stream(tasks=3), SPEC, cfg)
     assert report.rank_allocation == [[r] * 3 for r in full]
     assert all(e < 1e-5 for row in report.prune_error for e in row)
