@@ -30,9 +30,12 @@ other buffer: ``conv2d``'s im2col columns into ``store["cols"]``,
 One policy places every buffer an op writes with ``out=``:
 ``_buffer(store, key, shape, dtype)``.  On a tape, ``store`` is the
 node's ``aux``.  Every activation-sized value, saved intermediate and
-backward temporary of ``conv2d`` (gather source, columns, gemm output,
-batch-major copies, input-gradient columns and ``col2im`` image),
-``relu``, ``transpose``, ``linear`` and ``gram_deviation`` goes there:
+backward temporary of ``relu``, ``transpose``, ``linear``,
+``gram_deviation`` and ``conv2d`` goes there.  A ``conv2d`` node keeps
+``"padded"`` (im2col's gather source), ``"cols"``, ``"out"`` (the
+gemm), ``"g_rows"`` and ``"col_rows"`` (batch-major copies), ``"gw"``,
+``"gx_cols"`` (the input-gradient columns and a zero row: col2im's
+gather source), ``"fold"`` (one gathered slot) and ``"gx"``:
 building allocates them, and since a tape's shapes are fixed, each
 re-run and backward pass writes over them in place, so after a tape's
 first step a step allocates none of them.  A gradient that ``backward``
@@ -45,8 +48,11 @@ channel, then pixel, then image.  ``im2col`` and ``col2im``,
 ``conv2d_forward`` and the ``conv2d`` op all take and return that
 layout, so an input is ``C*H*W`` rows of N contiguous values: ``im2col``
 is one gather of those rows, plus one zero row for the padding, through
-an index table cached per geometry, and each of ``col2im``'s kernel
-offset scatter-adds moves whole rows.  A convolution's output is its
+an index table cached per geometry.  ``col2im`` is its fold: a second
+cached table lists, for each pixel, the im2col rows that sum into it
+(at most K, the most kernel windows that cover one pixel, padded with a
+zero row), and K gather-adds of whole rows sum them in the order a
+per-pixel loop would.  A convolution's output is its
 gemm result reshaped, with no copy, and its backward reads the incoming
 gradient with a free reshape.  The weight gradient alone sums over
 batch-major copies of its operands, columns in ``(image, out row, out
@@ -77,8 +83,8 @@ and a steady serving thread allocates no column memory.
 ``factorized.forward_features`` feeds the conv stack chunks of images
 sized so that one chunk's columns fit ``factorized.CHUNK_BYTES``, so
 that scratch holds at most one chunk whatever the batch.  The unfold
-index tables are the one thing threads share: a bounded cache of
-read-only arrays.
+and fold index tables are the one thing threads share: bounded caches
+of read-only arrays.
 """
 
 from __future__ import annotations
@@ -178,6 +184,39 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     return cols
 
 
+# bounded like _unfold_table: a table holds K*C*H*W indices
+@functools.lru_cache(maxsize=64)
+def _fold_table(c_in: int, h: int, w: int, kh: int, kw: int, stride: int,
+                padding: int) -> np.ndarray:
+    """The im2col rows that sum into each pixel, as K slots of a ``(K, C*H*W)`` table.
+
+    K is the most kernel windows that cover one pixel: 4 at 3x3 stride 2,
+    9 at stride 1.  Slot k of pixel ``(c, y, x)`` is the row of its k-th
+    contributor ``(c, i, j, oy, ox)`` with ``oy*stride + i - padding = y``
+    and ``ox*stride + j - padding = x``, contributors in row-major ``(i, j)``
+    order, or ``C*kh*kw*Ho*Wo``, a zero row, past its last one.  Read-only,
+    like the unfold tables.
+    """
+    out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
+
+    def axis(size, k, out):
+        # per pixel, the kernel offsets that reach it (ascending) and their out positions
+        d = np.arange(size)[:, None] + padding - np.arange(k)  # stride * out position
+        hits = (d % stride == 0) & (d >= 0) & (d < stride * out)
+        order = np.argsort(~hits, axis=1, kind="stable")[:, :max(1, hits.sum(1).max())]
+        return (np.take_along_axis(hits, order, 1), order,
+                np.take_along_axis(d, order, 1) // stride)
+
+    hit_y, i, oy = (a.T[:, None, None, :, None] for a in axis(h, kh, out_h))
+    hit_x, j, ox = (a.T[None, :, None, None, :] for a in axis(w, kw, out_w))
+    c = np.arange(c_in)[None, None, :, None, None]
+    rows = (((c * kh + i) * kw + j) * out_h + oy) * out_w + ox
+    table = np.where(hit_y & hit_x, rows, c_in * kh * kw * out_h * out_w)
+    table = table.astype(np.intp).reshape(-1, c_in * h * w)
+    table.flags.writeable = False
+    return table
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -187,28 +226,42 @@ def col2im(
     padding: int,
     store: dict | None = None,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patch columns back to ``(C, H, W, N)``.
+    """Adjoint of :func:`im2col`: sum patch columns back to ``(C, H, W, N)``.
 
-    The kernel offsets are added in row-major ``(i, j)`` order into a
-    ``(C, Hp, Wp, N)`` buffer, where each strided add moves whole runs of
-    N contiguous values; the result is its unpadded interior, contiguous.
-    The padded buffer and the interior are :func:`_buffer` ``"img"`` and
-    ``"gx"`` of ``store``.
+    A fold through the geometry's cached :func:`_fold_table`: each pixel
+    starts at +0.0 and adds its contributors in row-major ``(i, j)``
+    order, one gather-add of rows of N values per table slot.  A missing
+    contributor reads a zero row, which changes no sum that started at
+    +0.0, so every pixel gets the bits of a per-pixel loop.
+
+    The gather source is the columns' ``C*kh*kw*Ho*Wo`` rows of N values
+    followed by a zero row.  ``cols`` is the ``(C*kh*kw, Ho*Wo*N)`` im2col
+    matrix, copied into the source :func:`_buffer` ``"gx_cols"`` of
+    ``store``, or that source itself, ``(C*kh*kw*Ho*Wo + 1, N)``, whose
+    last row col2im zeroes: the conv backward writes its gemm into the
+    leading rows, so nothing is copied.  The slot gathered and the result
+    are ``"fold"`` and ``"gx"``.
     """
     c_in, h, w, n_im = x_shape
+    table = _fold_table(c_in, h, w, kh, kw, stride, padding)
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, padding)
-    cols = cols.reshape(c_in, kh, kw, out_h, out_w, n_im)
-    img = _buffer(store, "img", (c_in, h + 2 * padding, w + 2 * padding, n_im), cols.dtype)
-    img.fill(0)
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            img[:, i:i_max:stride, j:j_max:stride] += cols[:, i, j]
-    if padding == 0:
-        return img
+    rows = c_in * kh * kw * out_h * out_w
+    if cols.shape == (rows + 1, n_im):
+        src = cols
+    else:
+        src = _buffer(store, "gx_cols", (rows + 1, n_im), cols.dtype)
+        src[:rows] = cols.reshape(rows, n_im)
+    src[rows] = 0
     gx = _buffer(store, "gx", x_shape, cols.dtype)
-    np.copyto(gx, img[:, padding:padding + h, padding:padding + w])
+    out = gx.reshape(-1, n_im)
+    # "clip": every index is in range, and take writes straight into out=
+    src.take(table[0], axis=0, mode="clip", out=out)
+    out += 0.0  # the sum starts at +0.0: a lone -0.0 contributor gives +0.0
+    if len(table) > 1:
+        slot = _buffer(store, "fold", out.shape, cols.dtype)
+        for k in range(1, len(table)):
+            src.take(table[k], axis=0, mode="clip", out=slot)
+            out += slot
     return gx
 
 
@@ -453,8 +506,10 @@ def _b_conv2d(g, v, out, aux):
     gw = np.matmul(g_bm, cols_bm.T, out=_buffer(aux, "gw", w.shape, g.dtype))
     if not aux["x_needs_grad"]:
         return [gw, None]
-    gx_cols = np.matmul(w.T, g_mat, out=_buffer(aux, "gx_cols", cols.shape, g.dtype))
-    return [gw, col2im(gx_cols, x.shape, kh, kw, stride, padding, aux)]
+    # the gemm fills col2im's gather source but for its last row
+    src = _buffer(aux, "gx_cols", (cols.size // n_im + 1, n_im), g.dtype)
+    np.matmul(w.T, g_mat, out=src[:-1].reshape(cols.shape))
+    return [gw, col2im(src, x.shape, kh, kw, stride, padding, aux)]
 
 
 _BACKWARD = {

@@ -22,7 +22,21 @@ Dense per-task models, the upper-bound baseline (magic "CACD"):
 
 Both layouts share one writer and one reader for the geometry block
 (the reader also checks that the geometry is consistent) and for the
-head blobs, and one finiteness check, so the two cannot drift apart.  A
+head blobs, and one finiteness check, so the two cannot drift apart.
+Each fixed group of words is read with one unpack (the version and
+flags, the rank table, each head's blob_len and classes), the reals are
+slices of one float32 view of the file, and each file is written as one
+join of its parts.
+
+A model is reloaded whole, but its geometry rarely changes: the reader
+keeps the ``NetworkSpec`` of each geometry block it has accepted, keyed
+by the block's exact bytes, and the writer keeps each spec's block.
+Both caches hold at most 64 entries, like the unfold tables, and the
+caps a geometry is checked against are module constants, so the bytes
+alone decide the spec.  A geometry that fails a check is never cached,
+so a bad file raises the same FormatError, at the same offset, on every
+load; every check on the rest of the file (rank table, widths, head
+lengths, finiteness, trailing bytes) runs on every load.  A
 file is parsed completely before any model is constructed, so a corrupt
 or truncated file, or one holding a non-finite real, raises FormatError
 (with the failing byte offset) and never yields partial state.  Serving
@@ -40,7 +54,9 @@ FormatError naming the file.
 
 from __future__ import annotations
 
+import functools
 import struct
+import threading
 
 import numpy as np
 
@@ -56,15 +72,19 @@ VERSION = 1
 _FLAG_ISOLATED = 1
 # Cap on the sum over layers of c * q: 64 MiB of float32 dense weights.
 MAX_DENSE_WEIGHTS = 1 << 24
+# Geometries whose spec and bytes are kept; a process serves a few at most.
+_GEOMETRY_CACHE = 64
+_F32 = np.dtype("<f4")  # every real in a file
 
 
 # -- shared writers ---------------------------------------------------------------------
 
 
 def _f32_column_bytes(a: np.ndarray) -> bytes:
-    return np.asarray(a, dtype="<f4").tobytes(order="F")
+    return np.asarray(a, _F32).T.tobytes()  # the transpose's C order is a's column order
 
 
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE)
 def _geometry_bytes(spec: NetworkSpec) -> bytes:
     words = [spec.num_layers]
     for s in spec.layers:
@@ -75,11 +95,10 @@ def _geometry_bytes(spec: NetworkSpec) -> bytes:
     return struct.pack(f"<{len(words)}I", *words)
 
 
-def _head_bytes(head: TaskHead) -> bytes:
-    body = struct.pack("<I", head.classes)
-    body += _f32_column_bytes(head.weight)
-    body += _f32_column_bytes(head.bias)
-    return struct.pack("<I", len(body)) + body
+def _head_parts(head: TaskHead) -> tuple[bytes, bytes, bytes]:
+    blob_len = 4 * (1 + head.weight.size + head.bias.size)
+    return (struct.pack("<2I", blob_len, head.classes), _f32_column_bytes(head.weight),
+            _f32_column_bytes(head.bias))
 
 
 # -- shared readers ---------------------------------------------------------------------
@@ -91,12 +110,20 @@ class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        # every field is whole 4-byte words, so each run of reals is a slice of
+        # one read-only view of the file as float32 words
+        self.words = np.frombuffer(data, _F32, len(data) // 4).astype(DTYPE, copy=False)
 
-    def _advance(self, n: int) -> int:
+    def _advance(self, n: int, field: int | None = None) -> int:
+        """Moves past ``n`` bytes, made of fields of ``field`` bytes (default one of n).
+
+        A file that ends inside them is reported at the start of the field
+        it ends inside, as reading the fields one at a time would.
+        """
         if self.pos + n > len(self.data):
-            raise FormatError(
-                f"file ends inside a {n}-byte field", offset=self.pos
-            )
+            field = field or n
+            at = self.pos + (len(self.data) - self.pos) // field * field
+            raise FormatError(f"file ends inside a {field}-byte field", offset=at)
         at = self.pos
         self.pos += n
         return at
@@ -105,41 +132,66 @@ class _Reader:
         at = self._advance(n)
         return bytes(self.data[at : at + n])
 
-    def u32(self, count: int | None = None):
-        """One word as an int, or a tuple of ``count`` words when given a count."""
+    def u32(self, count: int | None = None, field: int | None = None):
+        """One word as an int, or a tuple of ``count`` words when given a count.
+
+        The words are one unpack; ``field`` is the words per field they
+        form, for :meth:`_advance`'s report of a file that ends inside them.
+        """
         n = 1 if count is None else count
-        vals = struct.unpack_from(f"<{n}I", self.data, self._advance(4 * n))
+        at = self._advance(4 * n, field and 4 * field)
+        vals = struct.unpack_from(f"<{n}I", self.data, at)
         return vals[0] if count is None else vals
 
-    def _f32(self, n: int) -> np.ndarray:
-        # a view of the blob, read-only: callers copy it exactly once
-        return np.frombuffer(self.data, dtype="<f4", count=n, offset=self._advance(4 * n))
+    def f32(self, rows: int, cols: int | None = None) -> np.ndarray:
+        """The next reals as an owned, writable, C-order float32 array.
 
-    def f32_matrix(self, rows: int, cols: int) -> np.ndarray:
-        column_order = self._f32(rows * cols).reshape((rows, cols), order="F")
-        return np.array(column_order, dtype=DTYPE, order="C")
-
-    def f32_vector(self, n: int) -> np.ndarray:
-        return np.array(self._f32(n), dtype=DTYPE)
+        A ``rows x cols`` matrix is stored in column order; without ``cols``
+        the result is a vector of ``rows``.  Each is one copy of a slice of
+        :attr:`words`.
+        """
+        n = rows if cols is None else rows * cols
+        at = self._advance(4 * n) // 4
+        stored = self.words[at:at + n]
+        return stored.copy() if cols is None else stored.reshape(cols, rows).T.copy()
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
             raise FormatError("trailing bytes after model payload", offset=self.pos)
 
 
-def _read_header(r: _Reader, magic: bytes, kind: str) -> None:
+def _read_header(r: _Reader, magic: bytes, kind: str, words: int) -> tuple[int, ...]:
+    """Checks the magic and the version; returns the ``words`` words after the magic.
+
+    The words are one unpack of those the file holds whole; a word the file
+    ends inside is read after the version is checked, as a word-by-word read
+    would order the errors.
+    """
     if r.take(4) != magic:
         raise FormatError(f"bad magic, not a {kind} file", offset=0)
-    version = r.u32()
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
+    head = r.u32(min(words, (len(r.data) - 4) // 4))
+    if head and head[0] != VERSION:
+        raise FormatError(f"unsupported version {head[0]}", offset=4)
+    if len(head) < words:
+        r.u32(words - len(head), field=1)  # raises: the file ends inside this word
+    return head
+
+
+# the spec of each geometry block accepted so far, by the block's exact bytes
+_SPECS: dict[bytes, NetworkSpec] = {}
+_SPECS_LOCK = threading.Lock()  # held to add (and evict); lookups need no lock
 
 
 def _read_geometry(r: _Reader) -> NetworkSpec:
-    at = r.pos
+    start = r.pos
     n_layers = r.u32()
+    block = bytes(r.data[start:start + 16 + 24 * n_layers])
+    spec = _SPECS.get(block)
+    if spec is not None:
+        r.pos = start + len(block)
+        return spec
     if n_layers == 0:
-        raise FormatError("layer count must be positive", offset=at)
+        raise FormatError("layer count must be positive", offset=start)
     layers = []
     dense = 0
     for l in range(n_layers):
@@ -175,13 +227,16 @@ def _read_geometry(r: _Reader) -> NetworkSpec:
     if head_dim != spec.head_input_dim:
         raise FormatError(f"inconsistent geometry: head_input_dim {head_dim} does not match "
                           f"flattened conv output {spec.head_input_dim}", offset=at)
+    with _SPECS_LOCK:
+        if len(_SPECS) >= _GEOMETRY_CACHE:
+            del _SPECS[next(iter(_SPECS))]  # the oldest
+        _SPECS[block] = spec
     return spec
 
 
 def _read_head(r: _Reader, head_dim: int) -> TaskHead:
     at = r.pos
-    blob_len = r.u32()
-    classes = r.u32()
+    blob_len, classes = r.u32(2, field=1)
     expected = 4 * (1 + classes * (head_dim + 1))
     if blob_len != expected:
         raise FormatError(
@@ -189,12 +244,12 @@ def _read_head(r: _Reader, head_dim: int) -> TaskHead:
         )
     if classes == 0:
         raise FormatError("head has zero classes", offset=at + 4)
-    weight = r.f32_matrix(head_dim, classes)
-    bias = r.f32_vector(classes)
+    weight = r.f32(head_dim, classes)
+    bias = r.f32(classes)
     return TaskHead(weight=weight, bias=bias)
 
 
-def _check_finite(data: bytes, payload_at: int) -> None:
+def _check_finite(r: _Reader, payload_at: int) -> None:
     """One pass over every word from ``payload_at`` to the end of the file.
 
     Besides f32 values this covers each head's blob length and class
@@ -202,7 +257,7 @@ def _check_finite(data: bytes, payload_at: int) -> None:
     only at or above 0x7F800000, and a head that long would need a file
     of gigabytes.
     """
-    finite = np.isfinite(np.frombuffer(data, dtype="<f4", offset=payload_at))
+    finite = np.isfinite(r.words[payload_at // 4:])
     if not finite.all():
         bad = payload_at + 4 * int(np.argmin(finite))
         raise FormatError("non-finite value in model payload", offset=bad)
@@ -224,48 +279,45 @@ def space_to_bytes(shared: SharedSpace) -> bytes:
             )
 
     flags = _FLAG_ISOLATED if shared.isolated else 0
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<2I", VERSION, flags)
-    out += _geometry_bytes(spec)
-    out += struct.pack("<I", t)
+    parts = [MAGIC, struct.pack("<2I", VERSION, flags), _geometry_bytes(spec),
+             struct.pack("<I", t)]
+    parts += (struct.pack(f"<{t}I", *row) for row in shared.rank_table)
     for l in range(n_layers):
-        out += struct.pack(f"<{t}I", *shared.rank_table[l])
-    for l in range(n_layers):
-        out += _f32_column_bytes(shared.u[l])
-        out += _f32_column_bytes(shared.sigma[l])
-        out += _f32_column_bytes(shared.v[l])
+        parts += map(_f32_column_bytes, (shared.u[l], shared.sigma[l], shared.v[l]))
     for head in shared.heads:
-        out += _head_bytes(head)
-    return bytes(out)
+        parts += _head_parts(head)
+    return b"".join(parts)
 
 
 def space_from_bytes(data: bytes) -> SharedSpace:
     r = _Reader(data)
-    _read_header(r, MAGIC, "shared-space")
-    flags = r.u32()
+    _, flags = _read_header(r, MAGIC, "shared-space", 2)
     if flags & ~_FLAG_ISOLATED:
         raise FormatError(f"unknown flag bits 0x{flags:x}", offset=8)
     spec = _read_geometry(r)
     t = r.u32()
+    n_layers, at = spec.num_layers, r.pos
+    # one unpack of the rows the file holds whole; a row it ends inside is read
+    # after the rows before it are checked, so the errors come in row order
+    whole = min(n_layers, (len(data) - at) // (4 * t)) if t else n_layers
+    table = r.u32(whole * t)
     rank_table = []
-    for l in range(spec.num_layers):
-        at = r.pos
-        row = r.u32(t)
+    for l in range(n_layers):
+        row = table[l * t:(l + 1) * t] if l < whole else r.u32(t)
         if any(b < a for a, b in zip((0,) + row, row)):
-            raise FormatError(f"layer {l} rank table not non-decreasing", offset=at)
+            raise FormatError(f"layer {l} rank table not non-decreasing", offset=at + 4 * t * l)
         rank_table.append(row)
 
     payload_at = r.pos
     u, sigma, v = [], [], []
     for l, shape in enumerate(spec.layers):
         width = rank_table[l][-1] if t else 0
-        u.append(r.f32_matrix(shape.c, width))
-        sigma.append(r.f32_vector(width))
-        v.append(r.f32_matrix(shape.q, width))
+        u.append(r.f32(shape.c, width))
+        sigma.append(r.f32(width))
+        v.append(r.f32(shape.q, width))
     heads = [_read_head(r, spec.head_input_dim) for _ in range(t)]
     r.expect_end()
-    _check_finite(data, payload_at)
+    _check_finite(r, payload_at)
     return SharedSpace(
         spec=spec,
         u=tuple(u),
@@ -306,30 +358,26 @@ def dense_to_bytes(models: DenseTaskModels) -> bytes:
             raise ValueError(f"task {t}: head weight {head.weight.shape} / bias "
                              f"{head.bias.shape} do not fit {spec.head_input_dim} inputs")
 
-    out = bytearray()
-    out += DENSE_MAGIC
-    out += struct.pack("<I", VERSION)
-    out += _geometry_bytes(spec)
-    out += struct.pack("<I", models.num_tasks)
+    parts = [DENSE_MAGIC, struct.pack("<I", VERSION), _geometry_bytes(spec),
+             struct.pack("<I", models.num_tasks)]
     for ws in models.weights:
-        for w in ws:
-            out += _f32_column_bytes(w)
+        parts += map(_f32_column_bytes, ws)
     for head in models.heads:
-        out += _head_bytes(head)
-    return bytes(out)
+        parts += _head_parts(head)
+    return b"".join(parts)
 
 
 def dense_from_bytes(data: bytes) -> DenseTaskModels:
     r = _Reader(data)
-    _read_header(r, DENSE_MAGIC, "dense-model")
+    _read_header(r, DENSE_MAGIC, "dense-model", 1)
     spec = _read_geometry(r)
     t = r.u32()
     payload_at = r.pos
     # each weight holds at least one word, so a forged T ends at the file's end
-    weights = [[r.f32_matrix(s.c, s.q) for s in spec.layers] for _ in range(t)]
+    weights = [[r.f32(s.c, s.q) for s in spec.layers] for _ in range(t)]
     heads = [_read_head(r, spec.head_input_dim) for _ in range(t)]
     r.expect_end()
-    _check_finite(data, payload_at)
+    _check_finite(r, payload_at)
     return DenseTaskModels(spec=spec, weights=weights, heads=heads)
 
 

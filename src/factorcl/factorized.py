@@ -339,7 +339,7 @@ def graph_forward(
     return g.reshape(g.transpose(h, (3, 0, 1, 2)), (batch, spec.head_input_dim))
 
 
-# Inference unfolds at most this many bytes of im2col columns at a time.
+# Inference unfolds, and each layer outputs, at most this many bytes at a time.
 CHUNK_BYTES = 1 << 20
 
 
@@ -347,14 +347,16 @@ CHUNK_BYTES = 1 << 20
 def _chunk_images(spec: NetworkSpec) -> int:
     """Images per :func:`forward_features` chunk, at least one, computed once per geometry.
 
-    As many as keep every layer's im2col columns and gather source (its
-    input pixels and the zero row) within :data:`CHUNK_BYTES`.
+    As many as keep every layer's im2col columns, gather source (its
+    input pixels and the zero row) and gemm output within
+    :data:`CHUNK_BYTES`.
     """
     h, w = spec.input_hw
-    per_image = 0  # float32 values per image of the widest unfold buffer
+    per_image = 0  # float32 values per image of the widest buffer
     for shape, stride, pad in zip(spec.layers, spec.strides, spec.paddings):
         out_h, out_w = ad.conv_output_size(h, w, shape.h, shape.w, stride, pad)
-        per_image = max(per_image, shape.q * out_h * out_w, shape.n * h * w + 1)
+        per_image = max(per_image, shape.q * out_h * out_w, shape.n * h * w + 1,
+                        shape.c * out_h * out_w)
         h, w = out_h, out_w
     return max(1, CHUNK_BYTES // (per_image * np.dtype(DTYPE).itemsize))
 
@@ -377,9 +379,9 @@ def forward_features(weights, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     Takes batch-major ``(N, C, H, W)`` input and returns C-contiguous
     ``(N, head_input_dim)`` features; the conv stack runs batch-innermost
     ``(C, H, W, N)`` in between, over chunks of :func:`_chunk_images`
-    images, so its unfold scratch stays within :data:`CHUNK_BYTES`
-    whatever N is.  Each chunk's features are copied into its rows of one
-    C-ordered array.  An input whose channels or image size are not the
+    images, so its unfold scratch and each layer's output stay within
+    :data:`CHUNK_BYTES` whatever N is.  Each chunk's features are copied
+    into its rows of one C-ordered array.  An input whose channels or image size are not the
     spec's is a :class:`ShapeError`: a strided stack could otherwise map a
     smaller image to the head's width.
     """

@@ -113,9 +113,15 @@ def test_im2col_col2im_match_per_pixel_loops(hw, stride, padding, kernel):
         assert cols.tobytes() == want
         assert ad.im2col(x, kh, kw, stride, padding, vars(ad._SCRATCH)).tobytes() == want
         g = rng_array(cols.shape, seed=41)
+        # every contribution to channel 0 of image 0 is -0.0: such a pixel sums to +0.0
+        g.reshape(2, kh * kw, -1, n_im)[0, :, :, 0] = -0.0
+        want = _col2im_loop(g, x_shape, kh, kw, stride, padding).tobytes()
         img = ad.col2im(g, x_shape, kh, kw, stride, padding)
         assert img.shape == x_shape and img.flags["C_CONTIGUOUS"]
-        assert img.tobytes() == _col2im_loop(g, x_shape, kh, kw, stride, padding).tobytes()
+        assert img.tobytes() == want
+        # the same columns given as the gather source, whose last row col2im zeroes
+        src = np.vstack([g.reshape(-1, n_im), np.full((1, n_im), np.nan, np.float32)])
+        assert ad.col2im(src, x_shape, kh, kw, stride, padding).tobytes() == want
         # adjoint identity <im2col(x), c> = <x, col2im(c)>, in float64
         x64 = np.random.default_rng(42).normal(size=x_shape)
         c64 = np.random.default_rng(43).normal(size=cols.shape)
@@ -253,6 +259,25 @@ def test_inference_unfolds_a_large_batch_in_chunks_within_the_budget(monkeypatch
     whole = fz.forward_features(weights, spec, x[:k * chunk])
     parts = [fz.forward_features(weights, spec, x[i * chunk:(i + 1) * chunk]) for i in range(k)]
     assert whole.flags["C_CONTIGUOUS"] and whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+def test_a_chunk_keeps_each_layer_output_within_the_budget(monkeypatch):
+    # 64 output channels of a 1x1 layer over one channel: the output, not the
+    # unfold, is the widest buffer, 64 x 8 x 8 floats per image
+    spec = fz.NetworkSpec.build((64,), in_channels=1, input_hw=(8, 8), kernel=1, padding=0)
+    assert fz._chunk_images(spec) == 64
+    outputs = []
+    original = ad.conv2d_forward
+    monkeypatch.setattr(ad, "conv2d_forward",
+                        lambda *args, **kw: outputs.append(original(*args, **kw)) or outputs[-1])
+    rng = np.random.default_rng(62)
+    weights = [rng.normal(size=(64, 1)).astype(np.float32)]
+    x = rng.normal(size=(150, 1, 8, 8)).astype(np.float32)
+    feats = fz.forward_features(weights, spec, x)
+    assert [o.shape[3] for o in outputs] == [64, 64, 22]
+    assert max(o.nbytes for o in outputs) <= fz.CHUNK_BYTES
+    ones = [fz.forward_features(weights, spec, x[i:i + 1]) for i in range(len(x))]
+    assert feats.tobytes() == np.concatenate(ones).tobytes()
 
 
 def test_threads_serving_mixed_batches_get_single_thread_bits():
@@ -556,7 +581,7 @@ def test_a_rerun_tape_writes_its_step_buffers_in_place():
     ops = {g.nodes[nid].op for nid, _ in buffers}
     assert ops == {"conv2d", "relu", "transpose", "reshape", "linear"}
     conv = next(n for n in g.nodes if n.op == "conv2d" and n.aux["x_needs_grad"])
-    owned = {"padded", "cols", "out", "g_rows", "col_rows", "gw", "gx_cols", "img", "gx"}
+    owned = {"padded", "cols", "out", "g_rows", "col_rows", "gw", "gx_cols", "fold", "gx"}
     assert owned <= conv.aux.keys()
     addresses = {key: a.ctypes.data for key, a in buffers.items()}
     grad_addresses = {nid: d.ctypes.data for nid, d in grads.items()}

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import struct
 import zipfile
@@ -127,6 +128,74 @@ def test_file_size_arithmetic():
     assert len(ck.dense_to_bytes(models)) == expected
 
 
+def _counting(shape, start) -> np.ndarray:
+    """float32 ``start, start + 0.25, ...`` in C order."""
+    return (start + 0.25 * np.arange(int(np.prod(shape)))).astype(np.float32).reshape(shape)
+
+
+def test_both_layouts_write_the_bytes_they_always_wrote():
+    # hand-built, so the bytes depend on no random generator: three isolated
+    # tasks (one with rank 0 in a layer) and two dense tasks
+    spec = fz.NetworkSpec.build((2, 3), in_channels=1, input_hw=(4, 4), stride=(1, 2))
+    space = fz.empty_space(spec, isolated=True)
+    for t, (ranks, classes) in enumerate((((1, 2), 2), ((2, 0), 3), ((0, 1), 1)), 1):
+        factors = fz.TaskFactors(
+            task=t, u=[_counting((s.c, r), t) for s, r in zip(spec.layers, ranks)],
+            sigma=[np.arange(r, 0, -1).astype(np.float32) for r in ranks],
+            v=[_counting((s.q, r), -t) for s, r in zip(spec.layers, ranks)])
+        head = fz.TaskHead(_counting((spec.head_input_dim, classes), 10 * t),
+                           _counting((classes,), -10 * t))
+        space = fz.append(space, factors, head)
+    models = DenseTaskModels(
+        spec=spec, weights=[[_counting((s.c, s.q), t) for s in spec.layers] for t in (1, 2)],
+        heads=[fz.TaskHead(_counting((spec.head_input_dim, k), k), _counting((k,), 0))
+               for k in (2, 1)])
+    digests = [(len(b), hashlib.sha256(b).hexdigest()[:16])
+               for b in (ck.space_to_bytes(space), ck.dense_to_bytes(models))]
+    assert digests == [(848, "7b6fb88abd400445"), (824, "9a0152f8d57ce9ad")]
+
+
+def test_loads_of_one_geometry_share_one_spec():
+    other = fz.NetworkSpec.build((3, 4), in_channels=2, input_hw=(5, 5))
+    a = ck.space_from_bytes(ck.space_to_bytes(random_space(seed=8)))
+    b = ck.space_from_bytes(ck.space_to_bytes(random_space(seed=9, tasks=3)))
+    dense = ck.dense_from_bytes(dense_blob(seed=8))
+    assert a.spec is b.spec is dense.spec and a.spec == SPEC
+    c = ck.space_from_bytes(ck.space_to_bytes(random_space(seed=8, spec=other)))
+    assert c.spec == other and c.spec is not a.spec
+    # the cache is bounded: sixty-five other geometries push SPEC's out
+    for h in range(65):
+        ck.space_from_bytes(ck.space_to_bytes(fz.empty_space(
+            fz.NetworkSpec.build((1,), in_channels=1, input_hw=(h + 1, 1)))))
+    assert len(ck._SPECS) <= 64
+    again = ck.space_from_bytes(ck.space_to_bytes(random_space(seed=8)))
+    assert again.spec == SPEC and again.spec is not a.spec
+
+
+@pytest.mark.parametrize("layers, offset", [
+    ([(1, ck.MAX_DENSE_WEIGHTS + 1, 1, 1)], 16),
+    ([(1024, 1024, 1, 1), (16384, 1024, 1, 1)], 32),
+])
+def test_a_bad_geometry_fails_alike_on_every_load(layers, offset):
+    # its good twin is cached first; the failure itself is never cached
+    good = _zero_rank_file([(1, 1, 1, 1)] * len(layers))
+    ck.space_from_bytes(good)
+    bad = _zero_rank_file(layers)
+    errors = []
+    for _ in range(3):
+        with pytest.raises(FormatError) as err:
+            ck.space_from_bytes(bad)
+        errors.append((str(err.value), err.value.offset))
+    assert errors == [errors[0]] * 3 and errors[0][1] == offset
+    assert "over the cap" in errors[0][0]
+    ck.space_from_bytes(good)
+    # a cached geometry followed by a truncated rank table fails where it ends
+    table_at = 32 + 24 * len(layers)  # header, geometry, T
+    with pytest.raises(FormatError, match="file ends inside a 4-byte field") as err:
+        ck.space_from_bytes(good[:table_at + 2])
+    assert err.value.offset == table_at
+
+
 # -- corruption ------------------------------------------------------------------------
 
 
@@ -204,6 +273,26 @@ def test_decreasing_rank_table_rejected():
     struct.pack_into("<2I", blob, at, second + 1, first)
     with pytest.raises(FormatError):
         ck.space_from_bytes(bytes(blob))
+
+
+def test_a_file_that_ends_inside_a_group_of_words_fails_as_a_word_by_word_read():
+    space = random_space(seed=6, tasks=2)
+    blob = ck.space_to_bytes(space)
+    table = 32 + 24 * SPEC.num_layers  # header, geometry and T before it; rows of 8 bytes
+    last = space.heads[-1]
+    head = len(blob) - 8 - 4 * last.weight.size - 4 * last.bias.size
+    decreasing = bytearray(blob)
+    struct.pack_into("<2I", decreasing, table, 5, 1)
+    for data, message, offset in [
+        (blob[:table + 10], "file ends inside a 8-byte field", table + 8),
+        # a row before the end is checked before the end is reported
+        (bytes(decreasing[:table + 10]), "layer 0 rank table not non-decreasing", table),
+        (blob[:head + 2], "file ends inside a 4-byte field", head),  # in blob_len
+        (blob[:head + 6], "file ends inside a 4-byte field", head + 4),  # in classes
+    ]:
+        with pytest.raises(FormatError, match=message) as err:
+            ck.space_from_bytes(data)
+        assert err.value.offset == offset, message
 
 
 def test_inconsistent_geometry_rejected():
