@@ -1,7 +1,9 @@
 """Model and artifact serialization.
 
 Models use two versioned little-endian binary layouts, so round-trips
-are bitwise lossless.  Shared spaces (magic "CACL"):
+are bitwise lossless: a writer refuses any array that is not float32,
+which it would have to round, and any head the reader would reject.
+Shared spaces (magic "CACL"):
 
     header   magic "CACL" | version u32 | flags u32 (bit0 = isolated)
     geometry L u32; per layer c,n,h,w u32x4; per layer stride,padding
@@ -78,6 +80,20 @@ _F32 = np.dtype("<f4")  # every real in a file
 
 
 # -- shared writers ---------------------------------------------------------------------
+
+
+def _check_f32(where: str, **arrays: np.ndarray) -> None:
+    """Refuse to narrow: every real in a file is float32, so each array must be one already."""
+    for name, a in arrays.items():
+        if a.dtype.kind != "f" or a.dtype.itemsize != 4:  # either byte order is exact
+            raise ValueError(f"{where}: {name} is {a.dtype}, not float32; "
+                             "writing it would round it")
+
+
+def _check_head(t: int, head: TaskHead, head_dim: int) -> None:
+    """What the reader demands of a head: its shapes fit ``head_dim``, its reals are float32."""
+    head.check(head_dim, t)
+    _check_f32(f"task {t} head", weight=head.weight, bias=head.bias)
 
 
 def _f32_column_bytes(a: np.ndarray) -> bytes:
@@ -277,6 +293,9 @@ def space_to_bytes(shared: SharedSpace) -> bytes:
                 f"layer {l}: stored width {shared.total_width(l)} does not "
                 f"match final cumulative rank {width}"
             )
+        _check_f32(f"layer {l}", U=shared.u[l], sigma=shared.sigma[l], V=shared.v[l])
+    for i, head in enumerate(shared.heads, 1):
+        _check_head(i, head, spec.head_input_dim)
 
     flags = _FLAG_ISOLATED if shared.isolated else 0
     parts = [MAGIC, struct.pack("<2I", VERSION, flags), _geometry_bytes(spec),
@@ -354,9 +373,9 @@ def dense_to_bytes(models: DenseTaskModels) -> bytes:
         got = [w.shape for w in ws]
         if got != shapes:
             raise ValueError(f"task {t}: weights {got} do not fit the layers {shapes}")
-        if head.weight.shape[0] != spec.head_input_dim or head.bias.shape != (head.classes,):
-            raise ValueError(f"task {t}: head weight {head.weight.shape} / bias "
-                             f"{head.bias.shape} do not fit {spec.head_input_dim} inputs")
+        for l, w in enumerate(ws):
+            _check_f32(f"task {t} layer {l}", weight=w)
+        _check_head(t, head, spec.head_input_dim)
 
     parts = [DENSE_MAGIC, struct.pack("<I", VERSION), _geometry_bytes(spec),
              struct.pack("<I", models.num_tasks)]

@@ -167,6 +167,13 @@ class TaskHead:
     def copy(self) -> "TaskHead":
         return TaskHead(weight=self.weight.copy(), bias=self.bias.copy())
 
+    def check(self, head_input_dim: int, task: int) -> None:
+        """Reject a weight that is not ``(head_input_dim, classes)``, classes ≥ 1, or a bias not ``(classes,)``."""
+        w, b = self.weight.shape, self.bias.shape
+        if len(w) != 2 or w[0] != head_input_dim or w[1] < 1 or b != (w[1],):
+            raise ShapeError(f"task {task}: head weight {w} / bias {b} do not fit "
+                             f"{head_input_dim} inputs and at least one class")
+
 
 @dataclass
 class TaskFactors:
@@ -431,34 +438,35 @@ def append(shared: SharedSpace, pruned: TaskFactors, head: TaskHead) -> SharedSp
     """New SharedSpace with task columns concatenated after existing ones.
 
     Existing arrays are never mutated; earlier extraction results stay
-    bitwise identical.  Non-finite factors or head parameters are
-    rejected, since appended columns are frozen for good.
+    bitwise identical.  Factors and head are stored as float32, and
+    non-finite ones (after that cast) are rejected, since appended
+    columns are frozen for good; so is a head that does not fit the
+    network.
     """
     _check_residual(shared.spec, pruned)
-    arrays = [*pruned.u, *pruned.sigma, *pruned.v, head.weight, head.bias]
-    if not all(np.isfinite(a).all() for a in arrays):
+    head.check(shared.spec.head_input_dim, pruned.task)
+    u, sigma, v = ([a.astype(DTYPE, copy=False) for a in arrs]
+                   for arrs in (pruned.u, pruned.sigma, pruned.v))
+    head = TaskHead(weight=np.array(head.weight, DTYPE, order="C"), bias=np.array(head.bias, DTYPE))
+    if not all(np.isfinite(a).all() for a in (*u, *sigma, *v, head.weight, head.bias)):
         raise NumericError(f"task {pruned.task}: non-finite factors or head cannot be appended")
-    for l in range(shared.spec.num_layers):
-        s = pruned.sigma[l]
+    for l, s in enumerate(sigma):
         if s.size and (np.any(s < 0) or np.any(np.diff(s) > 0)):
             raise ValueError(f"layer {l}: appended sigma must be sorted non-negative")
     new_u, new_s, new_v, new_table = [], [], [], []
     for l in range(shared.spec.num_layers):
-        new_u.append(np.ascontiguousarray(
-            np.concatenate([shared.u[l], pruned.u[l].astype(DTYPE, copy=False)], axis=1)))
-        new_s.append(np.ascontiguousarray(
-            np.concatenate([shared.sigma[l], pruned.sigma[l].astype(DTYPE, copy=False)])))
-        new_v.append(np.ascontiguousarray(
-            np.concatenate([shared.v[l], pruned.v[l].astype(DTYPE, copy=False)], axis=1)))
+        new_u.append(np.ascontiguousarray(np.concatenate([shared.u[l], u[l]], axis=1)))
+        new_s.append(np.ascontiguousarray(np.concatenate([shared.sigma[l], sigma[l]])))
+        new_v.append(np.ascontiguousarray(np.concatenate([shared.v[l], v[l]], axis=1)))
         prev = shared.rank_table[l][-1] if shared.rank_table[l] else 0
-        new_table.append(shared.rank_table[l] + (prev + pruned.sigma[l].shape[0],))
+        new_table.append(shared.rank_table[l] + (prev + sigma[l].shape[0],))
     return SharedSpace(
         spec=shared.spec,
         u=tuple(new_u),
         sigma=tuple(new_s),
         v=tuple(new_v),
         rank_table=tuple(new_table),
-        heads=shared.heads + (head.copy(),),
+        heads=shared.heads + (head,),
         isolated=shared.isolated,
     )
 

@@ -164,13 +164,13 @@ class _StepTape:
     def __init__(self, spec: fz.NetworkSpec, params: dict[str, np.ndarray], build,
                  x: np.ndarray, y: np.ndarray):
         g = self.graph = ad.Graph()
-        weights, penalties = build(g)
+        weights, penalty_nodes = build(g)
         self.x = g.leaf(x)
         feats = fz.graph_forward(g, weights, spec, self.x)
         hw = g.leaf(params["head_w"], trainable=True, name="head_w")
         hb = g.leaf(params["head_b"], trainable=True, name="head_b")
         self.task_loss = self.loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
-        for term in penalties():
+        for term in penalty_nodes:
             self.loss = g.add(self.loss, term)
 
     def run(self, x: np.ndarray, y: np.ndarray):
@@ -197,10 +197,12 @@ def _fit(
 ) -> None:
     """The minibatch loop behind both trainers; updates ``params`` in place.
 
-    ``build(g)`` puts the conv weights on the tape and returns
-    ``(weights, penalties)``: the weight nodes and ``penalties()``, which
-    returns the weighted regularizer nodes.  The tape calls ``penalties``
-    after building the task loss, so the regularizers follow it on the tape.
+    ``build(g)`` puts the conv weights and the weighted regularizer nodes
+    on the tape and returns ``(weights, penalty_nodes)``; the step adds
+    each penalty node to the task loss.  So the regularizers come before
+    the forward pass on the tape, which changes no bit: a trainable leaf
+    gets at most two contributions, the task loss's and its regularizer's,
+    and their sum is the same in either order.
     Leaf names are the keys: every trainable leaf is named by its key in
     ``params``, and its gradient updates that entry.  ``build`` runs once
     per batch size, so at most twice a task: once for full batches and
@@ -273,18 +275,14 @@ def train_task(
 
     def build(g: ad.Graph):
         composed = fz.compose_weights(g, prefix, factors())
-
-        def penalties() -> list[int]:
-            terms = []
-            if cfg.lambda_orth > 0:
-                orth = reg.l_orth_graph(g, composed.u_leaves, composed.v_leaves)
-                terms.append(g.scale(orth, cfg.lambda_orth))
-            if cfg.lambda_sparse > 0:
-                sparse = reg.l_sparse_graph(g, composed.sigma_leaves)
-                terms.append(g.scale(sparse, cfg.lambda_sparse))
-            return terms
-
-        return composed.weights, penalties
+        terms = []
+        if cfg.lambda_orth > 0:
+            orth = reg.l_orth_graph(g, composed.u_leaves, composed.v_leaves)
+            terms.append(g.scale(orth, cfg.lambda_orth))
+        if cfg.lambda_sparse > 0:
+            sparse = reg.l_sparse_graph(g, composed.sigma_leaves)
+            terms.append(g.scale(sparse, cfg.lambda_sparse))
+        return composed.weights, terms
 
     _fit(data, spec, cfg, fresh.task, params, build)
     return factors(), fz.TaskHead(weight=params["head_w"], bias=params["head_b"])
@@ -337,7 +335,7 @@ def train_dense_task(
     layers = range(spec.num_layers)
 
     def build(g: ad.Graph):
-        return [g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}") for l in layers], lambda: []
+        return [g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}") for l in layers], []
 
     _fit(data, spec, cfg, task, params, build)
     weights = [params[f"w{l}"] for l in layers]

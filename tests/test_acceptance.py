@@ -3,9 +3,11 @@
 Each test prints "PASS:" or "FAIL:" with measured numbers (visible with
 -s / -rA, and always on failure) and asserts the criterion at its
 stated tolerance.  Training criteria share one canonical 5-task stream
-protocol through a module-scoped fixture so each mode/seed trains once.
+protocol through a module-scoped fixture so each mode/seed trains once;
+that fixture also feeds the behaviour-fingerprint check.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -64,6 +66,30 @@ def runs5():
             model, report = tr.run_continual(stream5(seed), net5(), cfg5(mode, seed))
             out[mode, seed] = (model, report, time.perf_counter() - begin)
     return out
+
+
+# The refactor oracle: a change that keeps behaviour keeps both digests.  Each
+# hashes a seed-1 model's file bytes and then every task's test logits; the
+# "full" one is bench/workloads.train's stream5-full fingerprint.  A change
+# that moves one must say why and re-pin it.
+FINGERPRINTS = {
+    "full": "20d07a5edc7a1c23b8afe3320f1163215343d5458d9301593611fcb62266231e",
+    "baseline_ub": "6a18b352187034b08c61385014af916fe1c59480e92ad63165f8e3d65b3decdc",
+}
+
+
+def test_the_canonical_seed_1_runs_keep_their_fingerprints(runs5):
+    stream = stream5(1)
+    got = {}
+    for mode, to_bytes, predict in (
+            ("full", ck.space_to_bytes, fz.predict_logits),
+            ("baseline_ub", ck.dense_to_bytes, tr.DenseTaskModels.predict_logits)):
+        model = runs5[mode, 1][0]
+        digest = hashlib.sha256(to_bytes(model))
+        for t, data in enumerate(stream, 1):
+            digest.update(predict(model, t, data.test_x).tobytes())
+        got[mode] = digest.hexdigest()
+    assert got == FINGERPRINTS
 
 
 # -- toy single-task protocol (criteria 6, 7) -------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import struct
@@ -13,7 +14,7 @@ from factorcl import compression as cp
 from factorcl import factorized as fz
 from factorcl.cli import main
 from factorcl.datasets import TaskDataset, TaskStreamSpec, generate_stream, read_npz
-from factorcl.errors import FormatError
+from factorcl.errors import FormatError, ShapeError
 from factorcl.trainer import DenseTaskModels
 
 SPEC = fz.NetworkSpec.build((3, 4), in_channels=2, input_hw=(4, 4))
@@ -517,6 +518,68 @@ def test_dense_models_of_the_wrong_shape_are_not_written():
     models.heads[0] = fz.TaskHead(weight=models.heads[0].weight[1:], bias=models.heads[0].bias)
     with pytest.raises(ValueError, match="head"):
         ck.dense_to_bytes(models)
+
+
+def _heads_that_do_not_fit(head_dim: int) -> list[fz.TaskHead]:
+    f32 = np.float32
+    return [fz.TaskHead(np.zeros((head_dim + 1, 3), f32), np.zeros(3, f32)),  # one input too many
+            fz.TaskHead(np.zeros((head_dim, 0), f32), np.zeros(0, f32)),  # no class
+            fz.TaskHead(np.zeros((head_dim, 3), f32), np.zeros(2, f32)),  # bias of another width
+            fz.TaskHead(np.zeros(head_dim, f32), np.zeros(1, f32))]  # weight not a matrix
+
+
+def test_append_rejects_a_head_that_does_not_fit():
+    space = random_space(seed=2, tasks=1)
+    factors, _ = fz.expand(SPEC, 2, seed=2, classes=3)
+    for head in _heads_that_do_not_fit(SPEC.head_input_dim):
+        with pytest.raises(ShapeError, match="task 2"):
+            fz.append(space, factors, head)
+
+
+def test_a_space_whose_head_does_not_fit_is_not_written():
+    # such a file would be refused by its reader ("head blob length ... does not match")
+    space = random_space(seed=2, tasks=2)
+    for head in _heads_that_do_not_fit(SPEC.head_input_dim):
+        bad = dataclasses.replace(space, heads=(space.heads[0], head))
+        with pytest.raises(ValueError, match="task 2"):
+            ck.space_to_bytes(bad)
+
+
+def test_append_stores_the_head_as_float32():
+    space = random_space(seed=3, tasks=1)
+    factors, head = fz.expand(SPEC, 2, seed=3, classes=2)
+    wide = fz.TaskHead(head.weight.astype(np.float64) + 0.1, np.full(2, 0.1))
+    appended = fz.append(space, factors, wide)
+    stored = appended.heads[-1]
+    assert stored.weight.dtype == stored.bias.dtype == np.float32
+    assert stored.weight.tobytes() == wide.weight.astype(np.float32).tobytes()
+    assert stored.bias.tobytes() == np.full(2, 0.1, np.float32).tobytes()
+    assert_spaces_equal(ck.space_from_bytes(ck.space_to_bytes(appended)), appended)
+
+
+def test_writers_refuse_to_round_a_wider_float():
+    # float64 weights and a head of 0.1 would come back as float32 with other logits
+    spec = fz.NetworkSpec.build((2,), in_channels=1, input_hw=(3, 3))
+    wide = DenseTaskModels(spec=spec, weights=[[np.full((2, 9), 0.1)]],
+                           heads=[fz.TaskHead(np.full((spec.head_input_dim, 2), 0.1), np.full(2, 0.1))])
+    with pytest.raises(ValueError, match="task 1 layer 0: weight is float64"):
+        ck.dense_to_bytes(wide)
+    wide.weights[0][0] = wide.weights[0][0].astype(np.float32)
+    with pytest.raises(ValueError, match="task 1 head: weight is float64"):
+        ck.dense_to_bytes(wide)
+    space = random_space(seed=4, tasks=2)
+    for field, l in (("u", 0), ("sigma", 1), ("v", 1)):
+        arrays = list(getattr(space, field))
+        arrays[l] = arrays[l].astype(np.float64)
+        with pytest.raises(ValueError, match=f"layer {l}: .* is float64"):
+            ck.space_to_bytes(dataclasses.replace(space, **{field: tuple(arrays)}))
+    head = space.heads[1]
+    bad = dataclasses.replace(space, heads=(space.heads[0], fz.TaskHead(head.weight, head.bias.astype(np.float16))))
+    with pytest.raises(ValueError, match="task 2 head: bias is float16"):
+        ck.space_to_bytes(bad)
+    # big-endian float32 holds the same values: it is written as they are
+    swapped = dataclasses.replace(space, u=tuple(u.astype(">f4") for u in space.u))
+    assert ck.space_to_bytes(swapped) == ck.space_to_bytes(space)
 
 
 def test_dataset_round_trip(tmp_path):

@@ -270,12 +270,12 @@ def reference_fit(data, spec, cfg, task, params, build):
             batch = order[start : start + cfg.batch_size]
             x, y = data.train_x[batch], data.train_y[batch]
             g = ad.Graph()
-            weights, penalties = build(g, params)
+            weights, penalty_nodes = build(g, params)
             feats = fz.graph_forward(g, weights, spec, g.leaf(x))
             hw = g.leaf(params["head_w"], trainable=True, name="head_w")
             hb = g.leaf(params["head_b"], trainable=True, name="head_b")
             loss = g.softmax_cross_entropy(g.linear(feats, hw, hb), y)
-            for term in penalties():
+            for term in penalty_nodes:
                 loss = g.add(loss, term)
             grads = {g.nodes[i].name: d for i, d in g.backward(loss).items()}
             t += 1
@@ -289,13 +289,9 @@ def factor_build(spec, prefix, cfg):
                                   sigma=[params[f"sigma{l}"] for l in layers],
                                   v=[params[f"v{l}"] for l in layers])
         composed = fz.compose_weights(g, prefix, residual)
-
-        def penalties():
-            orth = reg.l_orth_graph(g, composed.u_leaves, composed.v_leaves)
-            sparse = reg.l_sparse_graph(g, composed.sigma_leaves)
-            return [g.scale(orth, cfg.lambda_orth), g.scale(sparse, cfg.lambda_sparse)]
-
-        return composed.weights, penalties
+        orth = reg.l_orth_graph(g, composed.u_leaves, composed.v_leaves)
+        sparse = reg.l_sparse_graph(g, composed.sigma_leaves)
+        return composed.weights, [g.scale(orth, cfg.lambda_orth), g.scale(sparse, cfg.lambda_sparse)]
 
     return build
 
@@ -303,7 +299,7 @@ def factor_build(spec, prefix, cfg):
 def dense_build(spec):
     def build(g, params):
         return [g.leaf(params[f"w{l}"], trainable=True, name=f"w{l}")
-                for l in range(spec.num_layers)], lambda: []
+                for l in range(spec.num_layers)], []
 
     return build
 
