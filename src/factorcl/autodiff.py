@@ -33,9 +33,8 @@ node's ``aux``.  Every activation-sized value, saved intermediate and
 backward temporary of ``relu``, ``transpose``, ``linear``,
 ``gram_deviation`` and ``conv2d`` goes there.  A ``conv2d`` node keeps
 ``"padded"`` (im2col's gather source), ``"cols"``, ``"out"`` (the
-gemm), ``"g_rows"`` and ``"col_rows"`` (batch-major copies), ``"gw"``,
-``"gx_cols"`` (the input-gradient columns and a zero row: col2im's
-gather source), ``"fold"`` (one gathered slot) and ``"gx"``:
+gemm), ``"gw"``, ``"gx_cols"`` (the input-gradient columns and a zero
+row: col2im's gather source), ``"fold"`` (one gathered slot) and ``"gx"``:
 building allocates them, and since a tape's shapes are fixed, each
 re-run and backward pass writes over them in place, so after a tape's
 first step a step allocates none of them.  A gradient that ``backward``
@@ -54,10 +53,9 @@ cached table lists, for each pixel, the im2col rows that sum into it
 zero row), and K gather-adds of whole rows sum them in the order a
 per-pixel loop would.  A convolution's output is its
 gemm result reshaped, with no copy, and its backward reads the incoming
-gradient with a free reshape.  The weight gradient alone sums over
-batch-major copies of its operands, columns in ``(image, out row, out
-col)`` order: a gemm's bits depend on the order it sums in, and this one
-keeps the trained bits those of a batch-major layout.  A network whose inputs and features are
+gradient with a free reshape: the weight gradient is one gemm of that
+gradient with the saved columns, and the input gradient one gemm into
+col2im's gather source.  A network whose inputs and features are
 batch-major transposes once on entry to the conv stack and once before
 the flatten (see ``factorized.graph_forward``).
 
@@ -380,12 +378,6 @@ def _f_conv2d(v, aux, store):
     return out.reshape(w.shape[0], out_h, out_w, x.shape[3])
 
 
-def _batch_major(m: np.ndarray, n_im: int, store: dict | None, key: str) -> np.ndarray:
-    """A contiguous copy of ``(rows, pixels*N)`` columns reordered to ``(image, pixel)``."""
-    rows = m.shape[0]
-    return _transposed(m.reshape(rows, -1, n_im), (0, 2, 1), store, key).reshape(rows, -1)
-
-
 def _checked_labels(logits_shape: tuple[int, ...], labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (logits_shape[0],) or not np.issubdtype(labels.dtype, np.integer):
@@ -494,22 +486,16 @@ def _b_softmax_ce(g, v, out, aux):
 
 def _b_conv2d(g, v, out, aux):
     w, x = v
-    c_in, kh, kw = aux["kernel"]
-    stride, padding = aux["stride"], aux["padding"]
-    g_mat = g.reshape(w.shape[0], -1)
-    cols = aux["cols"]
-    # the weight gradient sums over columns; batch-major copies of both
-    # operands fix that sum's order, and so its bits, to (image, out row, out col)
-    n_im = x.shape[3]
-    g_bm = _batch_major(g_mat, n_im, aux, "g_rows")
-    cols_bm = _batch_major(cols, n_im, aux, "col_rows")
-    gw = np.matmul(g_bm, cols_bm.T, out=_buffer(aux, "gw", w.shape, g.dtype))
+    g_mat, cols = g.reshape(w.shape[0], -1), aux["cols"]
+    gw = np.matmul(g_mat, cols.T, out=_buffer(aux, "gw", w.shape, g.dtype))
     if not aux["x_needs_grad"]:
         return [gw, None]
     # the gemm fills col2im's gather source but for its last row
+    n_im = x.shape[3]
     src = _buffer(aux, "gx_cols", (cols.size // n_im + 1, n_im), g.dtype)
     np.matmul(w.T, g_mat, out=src[:-1].reshape(cols.shape))
-    return [gw, col2im(src, x.shape, kh, kw, stride, padding, aux)]
+    _, kh, kw = aux["kernel"]
+    return [gw, col2im(src, x.shape, kh, kw, aux["stride"], aux["padding"], aux)]
 
 
 _BACKWARD = {

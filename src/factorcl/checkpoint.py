@@ -1,9 +1,8 @@
 """Model and artifact serialization.
 
 Models use two versioned little-endian binary layouts, so round-trips
-are bitwise lossless: a writer refuses any array that is not float32,
-which it would have to round, and any head the reader would reject.
-Shared spaces (magic "CACL"):
+are bitwise lossless: a writer refuses an array that is not float32 and
+a head its reader would reject.  Shared spaces (magic "CACL"):
 
     header   magic "CACL" | version u32 | flags u32 (bit0 = isolated)
     geometry L u32; per layer c,n,h,w u32x4; per layer stride,padding
@@ -82,21 +81,13 @@ _F32 = np.dtype("<f4")  # every real in a file
 # -- shared writers ---------------------------------------------------------------------
 
 
-def _check_f32(where: str, **arrays: np.ndarray) -> None:
-    """Refuse to narrow: every real in a file is float32, so each array must be one already."""
-    for name, a in arrays.items():
-        if a.dtype.kind != "f" or a.dtype.itemsize != 4:  # either byte order is exact
-            raise ValueError(f"{where}: {name} is {a.dtype}, not float32; "
-                             "writing it would round it")
+def _f32_column_bytes(a: np.ndarray, *where) -> bytes:
+    """``a``'s reals in column order; one not float32 would be rounded, so it raises.
 
-
-def _check_head(t: int, head: TaskHead, head_dim: int) -> None:
-    """What the reader demands of a head: its shapes fit ``head_dim``, its reals are float32."""
-    head.check(head_dim, t)
-    _check_f32(f"task {t} head", weight=head.weight, bias=head.bias)
-
-
-def _f32_column_bytes(a: np.ndarray) -> bytes:
+    ``where`` are the words that name ``a`` in the error: its task, layer, part.
+    """
+    if a.dtype.char != "f":  # float32 of either byte order is written exactly
+        raise ValueError(f"{' '.join(map(str, where))} is {a.dtype}, not float32")
     return np.asarray(a, _F32).T.tobytes()  # the transpose's C order is a's column order
 
 
@@ -111,10 +102,13 @@ def _geometry_bytes(spec: NetworkSpec) -> bytes:
     return struct.pack(f"<{len(words)}I", *words)
 
 
-def _head_parts(head: TaskHead) -> tuple[bytes, bytes, bytes]:
+def _head_parts(t: int, head: TaskHead, head_dim: int) -> tuple[bytes, bytes, bytes]:
+    """Task t's head blob; a head its reader would refuse raises."""
+    head.check(head_dim, t)
     blob_len = 4 * (1 + head.weight.size + head.bias.size)
-    return (struct.pack("<2I", blob_len, head.classes), _f32_column_bytes(head.weight),
-            _f32_column_bytes(head.bias))
+    return (struct.pack("<2I", blob_len, head.classes),
+            _f32_column_bytes(head.weight, "task", t, "head weight"),
+            _f32_column_bytes(head.bias, "task", t, "head bias"))
 
 
 # -- shared readers ---------------------------------------------------------------------
@@ -293,18 +287,17 @@ def space_to_bytes(shared: SharedSpace) -> bytes:
                 f"layer {l}: stored width {shared.total_width(l)} does not "
                 f"match final cumulative rank {width}"
             )
-        _check_f32(f"layer {l}", U=shared.u[l], sigma=shared.sigma[l], V=shared.v[l])
-    for i, head in enumerate(shared.heads, 1):
-        _check_head(i, head, spec.head_input_dim)
 
     flags = _FLAG_ISOLATED if shared.isolated else 0
     parts = [MAGIC, struct.pack("<2I", VERSION, flags), _geometry_bytes(spec),
              struct.pack("<I", t)]
     parts += (struct.pack(f"<{t}I", *row) for row in shared.rank_table)
     for l in range(n_layers):
-        parts += map(_f32_column_bytes, (shared.u[l], shared.sigma[l], shared.v[l]))
-    for head in shared.heads:
-        parts += _head_parts(head)
+        parts += (_f32_column_bytes(shared.u[l], "layer", l, "U"),
+                  _f32_column_bytes(shared.sigma[l], "layer", l, "sigma"),
+                  _f32_column_bytes(shared.v[l], "layer", l, "V"))
+    for i, head in enumerate(shared.heads, 1):
+        parts += _head_parts(i, head, spec.head_input_dim)
     return b"".join(parts)
 
 
@@ -369,20 +362,17 @@ def dense_to_bytes(models: DenseTaskModels) -> bytes:
         raise ValueError(
             f"{len(models.weights)} weight lists for {models.num_tasks} heads"
         )
-    for t, (ws, head) in enumerate(zip(models.weights, models.heads), 1):
+    for t, ws in enumerate(models.weights, 1):
         got = [w.shape for w in ws]
         if got != shapes:
             raise ValueError(f"task {t}: weights {got} do not fit the layers {shapes}")
-        for l, w in enumerate(ws):
-            _check_f32(f"task {t} layer {l}", weight=w)
-        _check_head(t, head, spec.head_input_dim)
 
     parts = [DENSE_MAGIC, struct.pack("<I", VERSION), _geometry_bytes(spec),
              struct.pack("<I", models.num_tasks)]
-    for ws in models.weights:
-        parts += map(_f32_column_bytes, ws)
-    for head in models.heads:
-        parts += _head_parts(head)
+    for t, ws in enumerate(models.weights, 1):
+        parts += (_f32_column_bytes(w, "task", t, "layer", l, "weight") for l, w in enumerate(ws))
+    for t, head in enumerate(models.heads, 1):
+        parts += _head_parts(t, head, spec.head_input_dim)
     return b"".join(parts)
 
 

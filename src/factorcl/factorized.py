@@ -168,7 +168,7 @@ class TaskHead:
         return TaskHead(weight=self.weight.copy(), bias=self.bias.copy())
 
     def check(self, head_input_dim: int, task: int) -> None:
-        """Reject a weight that is not ``(head_input_dim, classes)``, classes ≥ 1, or a bias not ``(classes,)``."""
+        """Refuse a weight but ``(head_input_dim, classes ≥ 1)`` or a bias but ``(classes,)``."""
         w, b = self.weight.shape, self.bias.shape
         if len(w) != 2 or w[0] != head_input_dim or w[1] < 1 or b != (w[1],):
             raise ShapeError(f"task {task}: head weight {w} / bias {b} do not fit "
@@ -438,10 +438,8 @@ def append(shared: SharedSpace, pruned: TaskFactors, head: TaskHead) -> SharedSp
     """New SharedSpace with task columns concatenated after existing ones.
 
     Existing arrays are never mutated; earlier extraction results stay
-    bitwise identical.  Factors and head are stored as float32, and
-    non-finite ones (after that cast) are rejected, since appended
-    columns are frozen for good; so is a head that does not fit the
-    network.
+    bitwise identical.  Factors and head are stored as float32; a head
+    that does not fit and values non-finite as float32 are rejected.
     """
     _check_residual(shared.spec, pruned)
     head.check(shared.spec.head_input_dim, pruned.task)

@@ -198,11 +198,9 @@ def _fit(
     """The minibatch loop behind both trainers; updates ``params`` in place.
 
     ``build(g)`` puts the conv weights and the weighted regularizer nodes
-    on the tape and returns ``(weights, penalty_nodes)``; the step adds
-    each penalty node to the task loss.  So the regularizers come before
-    the forward pass on the tape, which changes no bit: a trainable leaf
-    gets at most two contributions, the task loss's and its regularizer's,
-    and their sum is the same in either order.
+    on the tape and returns ``(weights, penalty_nodes)``.  The regularizers
+    thus precede the forward pass, which changes no bit: a trainable leaf
+    gets two contributions at most, and they sum alike in either order.
     Leaf names are the keys: every trainable leaf is named by its key in
     ``params``, and its gradient updates that entry.  ``build`` runs once
     per batch size, so at most twice a task: once for full batches and

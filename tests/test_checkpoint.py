@@ -528,21 +528,15 @@ def _heads_that_do_not_fit(head_dim: int) -> list[fz.TaskHead]:
             fz.TaskHead(np.zeros(head_dim, f32), np.zeros(1, f32))]  # weight not a matrix
 
 
-def test_append_rejects_a_head_that_does_not_fit():
-    space = random_space(seed=2, tasks=1)
-    factors, _ = fz.expand(SPEC, 2, seed=2, classes=3)
-    for head in _heads_that_do_not_fit(SPEC.head_input_dim):
-        with pytest.raises(ShapeError, match="task 2"):
-            fz.append(space, factors, head)
-
-
-def test_a_space_whose_head_does_not_fit_is_not_written():
-    # such a file would be refused by its reader ("head blob length ... does not match")
+def test_a_head_that_does_not_fit_is_neither_appended_nor_written():
+    # a file holding one would be refused by its reader ("head blob length ... does not match")
     space = random_space(seed=2, tasks=2)
+    factors, _ = fz.expand(SPEC, 3, seed=2, classes=3)
     for head in _heads_that_do_not_fit(SPEC.head_input_dim):
-        bad = dataclasses.replace(space, heads=(space.heads[0], head))
+        with pytest.raises(ShapeError, match="task 3"):
+            fz.append(space, factors, head)
         with pytest.raises(ValueError, match="task 2"):
-            ck.space_to_bytes(bad)
+            ck.space_to_bytes(dataclasses.replace(space, heads=(space.heads[0], head)))
 
 
 def test_append_stores_the_head_as_float32():
@@ -560,23 +554,23 @@ def test_append_stores_the_head_as_float32():
 def test_writers_refuse_to_round_a_wider_float():
     # float64 weights and a head of 0.1 would come back as float32 with other logits
     spec = fz.NetworkSpec.build((2,), in_channels=1, input_hw=(3, 3))
-    wide = DenseTaskModels(spec=spec, weights=[[np.full((2, 9), 0.1)]],
-                           heads=[fz.TaskHead(np.full((spec.head_input_dim, 2), 0.1), np.full(2, 0.1))])
-    with pytest.raises(ValueError, match="task 1 layer 0: weight is float64"):
+    head = fz.TaskHead(np.full((spec.head_input_dim, 2), 0.1), np.full(2, 0.1))
+    wide = DenseTaskModels(spec=spec, weights=[[np.full((2, 9), 0.1)]], heads=[head])
+    with pytest.raises(ValueError, match="task 1 layer 0 weight is float64"):
         ck.dense_to_bytes(wide)
     wide.weights[0][0] = wide.weights[0][0].astype(np.float32)
-    with pytest.raises(ValueError, match="task 1 head: weight is float64"):
+    with pytest.raises(ValueError, match="task 1 head weight is float64"):
         ck.dense_to_bytes(wide)
     space = random_space(seed=4, tasks=2)
     for field, l in (("u", 0), ("sigma", 1), ("v", 1)):
         arrays = list(getattr(space, field))
         arrays[l] = arrays[l].astype(np.float64)
-        with pytest.raises(ValueError, match=f"layer {l}: .* is float64"):
+        with pytest.raises(ValueError, match=f"layer {l} .* is float64"):
             ck.space_to_bytes(dataclasses.replace(space, **{field: tuple(arrays)}))
-    head = space.heads[1]
-    bad = dataclasses.replace(space, heads=(space.heads[0], fz.TaskHead(head.weight, head.bias.astype(np.float16))))
-    with pytest.raises(ValueError, match="task 2 head: bias is float16"):
-        ck.space_to_bytes(bad)
+    first, second = space.heads
+    half = fz.TaskHead(second.weight, second.bias.astype(np.float16))
+    with pytest.raises(ValueError, match="task 2 head bias is float16"):
+        ck.space_to_bytes(dataclasses.replace(space, heads=(first, half)))
     # big-endian float32 holds the same values: it is written as they are
     swapped = dataclasses.replace(space, u=tuple(u.astype(">f4") for u in space.u))
     assert ck.space_to_bytes(swapped) == ck.space_to_bytes(space)

@@ -259,12 +259,19 @@ def test_append_rejects_unsorted_sigma():
 @pytest.mark.parametrize("part", ["u", "sigma", "v", "weight", "bias"])
 def test_append_rejects_non_finite(part):
     spec = small_spec()
-    pruned = make_pruned(spec, 1, seed=14, ranks=(2, 2))
-    head = make_head(spec, 2, 5)
-    array = getattr(head, part) if part in ("weight", "bias") else getattr(pruned, part)[1]
-    array.flat[0] = np.nan
-    with pytest.raises(NumericError):
-        fz.append(fz.empty_space(spec), pruned, head)
+    # 1e300 is finite in float64 but not in the float32 that append stores
+    for bad in (np.nan, 1e300):
+        pruned = make_pruned(spec, 1, seed=14, ranks=(2, 2))
+        head = make_head(spec, 2, 5)
+        in_head = part in ("weight", "bias")
+        wide = (getattr(head, part) if in_head else getattr(pruned, part)[1]).astype(np.float64)
+        wide.flat[0] = bad
+        if in_head:
+            setattr(head, part, wide)
+        else:
+            getattr(pruned, part)[1] = wide
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            fz.append(fz.empty_space(spec), pruned, head)
 
 
 def test_extract_range_checked():

@@ -291,7 +291,8 @@ def factor_build(spec, prefix, cfg):
         composed = fz.compose_weights(g, prefix, residual)
         orth = reg.l_orth_graph(g, composed.u_leaves, composed.v_leaves)
         sparse = reg.l_sparse_graph(g, composed.sigma_leaves)
-        return composed.weights, [g.scale(orth, cfg.lambda_orth), g.scale(sparse, cfg.lambda_sparse)]
+        return composed.weights, [g.scale(orth, cfg.lambda_orth),
+                                  g.scale(sparse, cfg.lambda_sparse)]
 
     return build
 
